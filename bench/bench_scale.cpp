@@ -6,8 +6,8 @@
 // a validated "ingest" section (report_check ingest gates it in CI).
 //
 // Self-check (exit 1 on failure):
-//   * streamed and legacy parses of a small huge-preset DEF agree on
-//     db::designFingerprint,
+//   * one-chunk and N-chunk (hardware-thread) parses of a small
+//     huge-preset DEF agree on db::designFingerprint,
 //   * sharded extraction at 1, 4 and hardware threads is identical to the
 //     serial extraction (class indices and members included),
 //   * DEF throughput and peak RSS are nonzero.
@@ -27,8 +27,8 @@
 #include "db/fingerprint.hpp"
 #include "db/unique_inst.hpp"
 #include "lefdef/def_parser.hpp"
+#include "lefdef/lef_parser.hpp"
 #include "lefdef/lef_writer.hpp"
-#include "lefdef/stream.hpp"
 #include "pao/report_json.hpp"
 #include "pao/session.hpp"
 #include "util/cpu_time.hpp"
@@ -148,7 +148,6 @@ int main() {
   ir.components = stats.components;
   ir.nets = stats.nets;
   ir.mapped = stats.mapped;
-  ir.legacyFallback = stats.legacyFallback;
   ir.parseSeconds = stats.parseSeconds;
   ir.peakRssBytes = peakRss;
   report.report().doc().set("schema", obs::Json(obs::kReportSchemaV2));
@@ -174,28 +173,41 @@ int main() {
 
   bool ok = true;
 
-  // Self-check 1: streamed == legacy on a small huge-preset DEF, compared
-  // by content fingerprint (equal fingerprints => identical writeDef text).
+  // Self-check 1: one chunk == many chunks on a small huge-preset DEF,
+  // compared by content fingerprint (equal fingerprints => identical
+  // writeDef text).
   {
     const double smallScale =
         std::min(scale, 5000.0 / static_cast<double>(spec.numCells));
     std::ostringstream small;
     benchgen::writeHugeDef(spec, smallScale, *tl.tech, *tl.lib, small);
     const std::string text = small.str();
-    db::Design legacy;
-    legacy.tech = &tech;
-    legacy.lib = &lib;
-    lefdef::parseDef(text, legacy, lefdef::ParseOptions{});
-    db::Design streamed;
-    streamed.tech = &tech;
-    streamed.lib = &lib;
-    lefdef::StreamOptions so;
-    so.chunkBytes = 1 << 14;
-    lefdef::parseDefStream(text, streamed, so);
-    if (db::designFingerprint(legacy) != db::designFingerprint(streamed)) {
+    db::Design whole;
+    whole.tech = &tech;
+    whole.lib = &lib;
+    lefdef::StreamOptions one;
+    one.numThreads = 1;
+    one.chunkBytes = text.size() + 1;
+    lefdef::IngestStats oneStats;
+    lefdef::parseDefStream(text, whole, one, &oneStats);
+    db::Design chunked;
+    chunked.tech = &tech;
+    chunked.lib = &lib;
+    lefdef::StreamOptions many;
+    many.chunkBytes = 1 << 14;
+    lefdef::IngestStats manyStats;
+    lefdef::parseDefStream(text, chunked, many, &manyStats);
+    if (manyStats.chunks <= oneStats.chunks) {
       std::fprintf(stderr,
-                   "selfcheck FAILED: streamed parse fingerprint differs "
-                   "from legacy parse\n");
+                   "selfcheck FAILED: the N-chunk parse cut no more chunks "
+                   "(%zu) than the one-chunk parse (%zu)\n",
+                   manyStats.chunks, oneStats.chunks);
+      ok = false;
+    }
+    if (db::designFingerprint(whole) != db::designFingerprint(chunked)) {
+      std::fprintf(stderr,
+                   "selfcheck FAILED: N-chunk parse fingerprint differs "
+                   "from the one-chunk parse\n");
       ok = false;
     }
   }

@@ -1,8 +1,12 @@
 #include "lefdef/lef_parser.hpp"
 
+#include <chrono>
 #include <cmath>
 
 #include "lefdef/lexer.hpp"
+#include "lefdef/source.hpp"
+#include "obs/metrics.hpp"
+#include "util/fault.hpp"
 
 namespace pao::lefdef {
 
@@ -22,7 +26,11 @@ class LefParser {
  public:
   LefParser(std::string_view text, Tech& tech, Library& lib,
             const ParseOptions& opts)
-      : lex_(text, opts.file), opts_(opts), tech_(tech), lib_(lib) {}
+      : lines_(text),
+        lex_(text, lines_, opts.file),
+        opts_(opts),
+        tech_(tech),
+        lib_(lib) {}
 
   ParseResult run() {
     ParseResult res;
@@ -319,6 +327,7 @@ class LefParser {
     }
   }
 
+  LineIndex lines_;
   Lexer lex_;
   ParseOptions opts_;
   Tech& tech_;
@@ -334,6 +343,25 @@ void parseLef(std::string_view text, db::Tech& tech, db::Library& lib) {
 ParseResult parseLef(std::string_view text, db::Tech& tech, db::Library& lib,
                      const ParseOptions& opts) {
   return LefParser(text, tech, lib, opts).run();
+}
+
+ParseResult parseLefFile(const std::string& path, db::Tech& tech,
+                         db::Library& lib, const ParseOptions& opts,
+                         IngestStats* stats) {
+  PAO_FAULT_INJECT("lef.io");
+  const auto t0 = std::chrono::steady_clock::now();
+  FileSource src(path);
+  ParseResult r = parseLef(src.text(), tech, lib, opts);
+  if (stats != nullptr) {
+    stats->bytes = src.sizeBytes();
+    stats->mapped = src.mapped();
+    stats->parseSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+  }
+  PAO_COUNTER_ADD("pao.ingest.lef_bytes",
+                  static_cast<long long>(src.sizeBytes()));
+  return r;
 }
 
 }  // namespace pao::lefdef

@@ -3,6 +3,7 @@
 // Populates a db::Tech and db::Library.
 #pragma once
 
+#include <string>
 #include <string_view>
 
 #include "db/lib.hpp"
@@ -22,5 +23,11 @@ void parseLef(std::string_view text, db::Tech& tech, db::Library& lib);
 /// tech/lib — callers that need all-or-nothing must check ok() and drop.
 ParseResult parseLef(std::string_view text, db::Tech& tech, db::Library& lib,
                      const ParseOptions& opts);
+
+/// parseLef over a FileSource view of `path` (mmap with read() fallback).
+/// Injects the "lef.io" fault point before opening.
+ParseResult parseLefFile(const std::string& path, db::Tech& tech,
+                         db::Library& lib, const ParseOptions& opts,
+                         IngestStats* stats = nullptr);
 
 }  // namespace pao::lefdef

@@ -1,7 +1,7 @@
 #include "lefdef/lexer.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cmath>
 
 namespace pao::lefdef {
@@ -22,84 +22,124 @@ std::size_t ParseResult::errorCount() const {
   return n;
 }
 
-Lexer::Lexer(std::string_view text, std::string_view file)
-    : file_(file), source_(text) {
-  std::size_t line = 1;
-  std::size_t lineStart = 0;
+LineIndex::LineIndex(std::string_view text) : text_(text) {
   lineStart_.push_back(0);
-  std::size_t i = 0;
-  const std::size_t n = text.size();
-  const auto push = [&](std::string_view tok, std::size_t at) {
-    tokens_.emplace_back(tok);
-    lines_.push_back(line);
-    cols_.push_back(at - lineStart + 1);
-  };
-  while (i < n) {
-    const char c = text[i];
-    if (c == '\n') {
-      ++line;
-      ++i;
-      lineStart = i;
-      lineStart_.push_back(i);
-      continue;
+  for (std::size_t i = text.find('\n'); i != std::string_view::npos;
+       i = text.find('\n', i + 1)) {
+    lineStart_.push_back(i + 1);
+  }
+}
+
+std::size_t LineIndex::lineOf(std::size_t offset) const {
+  const auto it =
+      std::upper_bound(lineStart_.begin(), lineStart_.end(), offset);
+  return static_cast<std::size_t>(it - lineStart_.begin());
+}
+
+std::size_t LineIndex::colOf(std::size_t offset) const {
+  return offset - lineStart_[lineOf(offset) - 1] + 1;
+}
+
+std::string LineIndex::lineText(std::size_t line) const {
+  if (line == 0 || line > lineStart_.size()) return std::string();
+  const std::size_t begin = lineStart_[line - 1];
+  std::size_t end = text_.find('\n', begin);
+  if (end == std::string_view::npos) end = text_.size();
+  return std::string(text_.substr(begin, end - begin));
+}
+
+Lexer::Lexer(std::string_view fullText, std::size_t begin, std::size_t end,
+             const LineIndex& lines, std::string_view file)
+    : text_(fullText),
+      cur_(begin),
+      end_(std::min(end, fullText.size())),
+      lines_(&lines),
+      file_(file) {}
+
+const Lexer::Tok* Lexer::buffered(std::size_t ahead) {
+  if (head_ > 0 && head_ == buf_.size()) {
+    buf_.clear();
+    head_ = 0;
+  }
+  while (buf_.size() - head_ <= ahead) {
+    // Scan one more token: skip whitespace and comments first.
+    while (cur_ < end_) {
+      const char c = text_[cur_];
+      if (std::isspace(static_cast<unsigned char>(c))) {
+        ++cur_;
+        continue;
+      }
+      if (c == '#') {  // comment to end of line
+        while (cur_ < end_ && text_[cur_] != '\n') ++cur_;
+        continue;
+      }
+      break;
     }
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (c == '#') {  // comment to end of line
-      while (i < n && text[i] != '\n') ++i;
-      continue;
-    }
+    if (cur_ >= end_) return nullptr;
+    const std::size_t at = cur_;
+    const char c = text_[cur_];
     if (c == ';' || c == '(' || c == ')') {
-      push(std::string_view(&text[i], 1), i);
-      ++i;
+      buf_.push_back({text_.substr(cur_, 1), at});
+      ++cur_;
       continue;
     }
     if (c == '"') {
-      std::size_t j = i + 1;
-      while (j < n && text[j] != '"') ++j;
-      push(text.substr(i + 1, j - i - 1), i);
-      i = j < n ? j + 1 : j;
+      std::size_t j = cur_ + 1;
+      while (j < end_ && text_[j] != '"') ++j;
+      buf_.push_back({text_.substr(cur_ + 1, j - cur_ - 1), at});
+      cur_ = j < end_ ? j + 1 : j;
       continue;
     }
-    std::size_t j = i;
-    while (j < n && !std::isspace(static_cast<unsigned char>(text[j])) &&
-           text[j] != ';' && text[j] != '(' && text[j] != ')' &&
-           text[j] != '#') {
+    std::size_t j = cur_;
+    while (j < end_ && !std::isspace(static_cast<unsigned char>(text_[j])) &&
+           text_[j] != ';' && text_[j] != '(' && text_[j] != ')' &&
+           text_[j] != '#') {
       ++j;
     }
-    push(text.substr(i, j - i), i);
-    i = j;
+    buf_.push_back({text_.substr(cur_, j - cur_), at});
+    cur_ = j;
   }
+  return &buf_[head_ + ahead];
 }
 
-std::string_view Lexer::peek(std::size_t ahead) const {
-  return pos_ + ahead < tokens_.size() ? std::string_view(tokens_[pos_ + ahead])
-                                       : std::string_view();
+std::string_view Lexer::peek(std::size_t ahead) {
+  const Tok* t = buffered(ahead);
+  return t != nullptr ? t->text : std::string_view();
+}
+
+void Lexer::consume(const Tok& t) {
+  lastOff_ = t.off;
+  haveLast_ = true;
+  ++head_;
+  ++consumed_;
 }
 
 std::string_view Lexer::next() {
-  if (done()) throw ParseError(diagHere("LEX001", "unexpected end of input"));
-  return tokens_[pos_++];
+  const Tok* t = buffered(0);
+  if (t == nullptr) {
+    throw ParseError(diagHere("LEX001", "unexpected end of input"));
+  }
+  const std::string_view text = t->text;
+  consume(*t);
+  return text;
 }
 
 bool Lexer::accept(std::string_view tok) {
-  if (!done() && tokens_[pos_] == tok) {
-    ++pos_;
-    return true;
-  }
-  return false;
+  const Tok* t = buffered(0);
+  if (t == nullptr || t->text != tok) return false;
+  consume(*t);
+  return true;
 }
 
 void Lexer::expect(std::string_view tok) {
-  if (done() || tokens_[pos_] != tok) {
+  const Tok* t = buffered(0);
+  if (t == nullptr || t->text != tok) {
     const std::string got =
-        done() ? "end of input" : "'" + tokens_[pos_] + "'";
+        t == nullptr ? "end of input" : "'" + std::string(t->text) + "'";
     throw ParseError(diagHere(
         "LEX002", "expected '" + std::string(tok) + "', got " + got));
   }
-  ++pos_;
+  consume(*t);
 }
 
 void Lexer::skipStatement() {
@@ -150,49 +190,46 @@ geom::Coord Lexer::nextDbu(int dbuPerMicron) {
   return static_cast<geom::Coord>(roundClamped(nextDouble() * dbuPerMicron));
 }
 
-std::size_t Lexer::line() const {
-  if (lines_.empty()) return 0;
-  return pos_ < lines_.size() ? lines_[pos_] : lines_.back();
+std::size_t Lexer::byteOffset() {
+  const Tok* t = buffered(0);
+  return t != nullptr ? t->off : end_;
 }
 
-std::size_t Lexer::col() const {
-  if (cols_.empty()) return 0;
-  return pos_ < cols_.size() ? cols_[pos_] : cols_.back();
+void Lexer::seekTo(std::size_t offset) {
+  cur_ = offset;
+  buf_.clear();
+  head_ = 0;
 }
 
-util::Diag Lexer::diagHere(std::string_view code, std::string message) const {
-  // At end of input point at the last token — the caller is reporting
-  // "input ended while I expected more", and the last token is where.
-  const std::size_t idx =
-      tokens_.empty() ? 0 : (pos_ < tokens_.size() ? pos_ : tokens_.size() - 1);
-  return diagAt(idx, code, std::move(message));
+util::Diag Lexer::diagHere(std::string_view code, std::string message) {
+  // At end of input point at the most recently consumed token — the caller
+  // is reporting "input ended while I expected more", and the last token
+  // is where.
+  const Tok* t = buffered(0);
+  if (t != nullptr) return diagAt(t->off, true, code, std::move(message));
+  return diagAt(lastOff_, haveLast_, code, std::move(message));
 }
 
-util::Diag Lexer::diagPrev(std::string_view code, std::string message) const {
-  const std::size_t idx = pos_ > 0 ? pos_ - 1 : 0;
-  return diagAt(idx, code, std::move(message));
+util::Diag Lexer::diagPrev(std::string_view code, std::string message) {
+  // Before the first consumed token, point at the current one.
+  if (haveLast_) return diagAt(lastOff_, true, code, std::move(message));
+  const Tok* t = buffered(0);
+  if (t != nullptr) return diagAt(t->off, true, code, std::move(message));
+  return diagAt(0, false, code, std::move(message));
 }
 
-util::Diag Lexer::diagAt(std::size_t tokIdx, std::string_view code,
-                         std::string message) const {
+util::Diag Lexer::diagAt(std::size_t off, bool located, std::string_view code,
+                         std::string message) {
   util::Diag d;
   d.code = std::string(code);
   d.message = std::move(message);
   d.loc.file = file_;
-  if (tokIdx < tokens_.size()) {
-    d.loc.line = lines_[tokIdx];
-    d.loc.col = cols_[tokIdx];
-    d.excerpt = lineText(d.loc.line);
+  if (located) {
+    d.loc.line = lines_->lineOf(off);
+    d.loc.col = lines_->colOf(off);
+    d.excerpt = lines_->lineText(d.loc.line);
   }
   return d;
-}
-
-std::string Lexer::lineText(std::size_t line) const {
-  if (line == 0 || line > lineStart_.size()) return std::string();
-  const std::size_t begin = lineStart_[line - 1];
-  std::size_t end = source_.find('\n', begin);
-  if (end == std::string::npos) end = source_.size();
-  return source_.substr(begin, end - begin);
 }
 
 }  // namespace pao::lefdef

@@ -1,16 +1,18 @@
-// Shared tokenizer for the LEF/DEF parsers. LEF/DEF are whitespace-separated
+// The tokenizer of the LEF/DEF parsers. LEF/DEF are whitespace-separated
 // token streams where ';', '(' and ')' are standalone tokens, '#' starts a
 // comment, and double-quoted strings are single tokens.
 //
-// The lexer tracks a 1-based line/column per token and keeps the source
-// text, so parse errors carry a full util::Diag (file:line:col, stable
-// error code, source excerpt). Parsers have two modes:
+// Every token carries its byte offset, resolved to a 1-based line/column
+// and source excerpt through a LineIndex, so parse errors carry a full
+// util::Diag (file:line:col, stable error code, source excerpt). Parsers
+// have two modes:
 //   - strict (default): the first error throws ParseError, whose .diag
 //     holds the located diagnostic (what() is the formatted form);
 //   - recovery (ParseOptions::recover): errors are accumulated into a
 //     ParseResult and the parser resyncs via syncTo() and keeps going.
 #pragma once
 
+#include <cstddef>
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
@@ -51,6 +53,17 @@ struct ParseResult {
   bool ok() const { return errorCount() == 0; }
 };
 
+/// Observability of one file-backed or DEF ingest run (all fields are
+/// outputs).
+struct IngestStats {
+  std::size_t bytes = 0;       ///< input size
+  std::size_t chunks = 0;      ///< DEF section chunks parsed
+  std::size_t components = 0;  ///< instances appended
+  std::size_t nets = 0;        ///< nets appended
+  bool mapped = false;         ///< file came from mmap (vs read fallback)
+  double parseSeconds = 0;     ///< wall seconds (file forms only)
+};
+
 /// The GEN001 "too many errors; giving up" diagnostic that recovery-mode
 /// parsers append when ParseOptions::maxErrors is reached.
 util::Diag tooManyErrors(const std::string& file);
@@ -61,13 +74,46 @@ util::Diag tooManyErrors(const std::string& file);
 /// legitimate LEF/DEF values are orders of magnitude below the clamp.
 long long roundClamped(double v);
 
+/// Newline index over the full source text: maps byte offsets to 1-based
+/// line/column and extracts excerpt lines. Built once per file, shared
+/// read-only by every lexer over that text (including chunk workers).
+class LineIndex {
+ public:
+  explicit LineIndex(std::string_view text);
+
+  std::size_t lineOf(std::size_t offset) const;
+  std::size_t colOf(std::size_t offset) const;
+  /// The full source line `line` lives on (1-based; "" when unknown).
+  std::string lineText(std::size_t line) const;
+
+ private:
+  std::string_view text_;
+  std::vector<std::size_t> lineStart_;
+};
+
+/// Lazy tokenizer: tokens are string_views into the source (a FileSource
+/// mapping or a caller-owned string), produced on demand, so a
+/// multi-hundred-MB DEF costs no token vector and no per-token allocation.
+/// A Lexer is bounded to a byte range [begin, end) of the full text — the
+/// whole file for the serial parsers, one entity-aligned chunk for a DEF
+/// chunk worker — while line/column/excerpt information always resolves
+/// against the full text through the shared LineIndex, so a chunk
+/// worker's diagnostics are the ones a whole-file lexer would report.
 class Lexer {
  public:
-  explicit Lexer(std::string_view text, std::string_view file = "<input>");
+  /// Tokenizes fullText[begin, end). `fullText` and `lines` (an index of
+  /// the same text) must outlive the lexer. Ranges are token-aligned by
+  /// construction (the DEF chunker only cuts at entity starts).
+  Lexer(std::string_view fullText, std::size_t begin, std::size_t end,
+        const LineIndex& lines, std::string_view file = "<input>");
+  /// Whole-text form.
+  Lexer(std::string_view fullText, const LineIndex& lines,
+        std::string_view file = "<input>")
+      : Lexer(fullText, 0, fullText.size(), lines, file) {}
 
-  bool done() const { return pos_ >= tokens_.size(); }
+  bool done() { return buffered(0) == nullptr; }
   /// Current token without consuming ("" at end of input).
-  std::string_view peek(std::size_t ahead = 0) const;
+  std::string_view peek(std::size_t ahead = 0);
   /// Consumes and returns the current token.
   std::string_view next();
   /// Consumes the current token iff it equals `tok`.
@@ -85,11 +131,18 @@ class Lexer {
   /// nextDouble() scaled by dbuPerMicron and rounded — LEF distances.
   geom::Coord nextDbu(int dbuPerMicron);
 
-  /// Line/column of the current token (the last token at end of input).
-  std::size_t line() const;
-  std::size_t col() const;
-  /// Position in the token stream — recovery progress guard.
-  std::size_t pos() const { return pos_; }
+  /// Count of tokens consumed — recovery progress guard (only ever
+  /// compared for equality).
+  std::size_t pos() const { return consumed_; }
+  /// Byte offset (into the full text) where the current token starts, or
+  /// the range end at end of input. Drives the DEF section chunker.
+  std::size_t byteOffset();
+
+  /// Repositions the scan to byte `offset`, discarding the lookahead
+  /// buffer. pos() is preserved (it only guards recovery progress). Used
+  /// by the DEF reader to re-enter the serial grammar at a junk statement
+  /// a chunk worker stopped at.
+  void seekTo(std::size_t offset);
 
   /// Error-recovery resync: consumes tokens until a ';' has been consumed
   /// or the next token is one of `stops` (or input ends). Unlike
@@ -97,25 +150,36 @@ class Lexer {
   /// keyword is a known resync point.
   void syncTo(std::initializer_list<std::string_view> stops);
 
-  /// Located diagnostic at the current token (diagHere) or at the most
-  /// recently consumed token (diagPrev — for semantic errors discovered
-  /// after consuming, e.g. "unknown master 'X'").
-  util::Diag diagHere(std::string_view code, std::string message) const;
-  util::Diag diagPrev(std::string_view code, std::string message) const;
+  /// Located diagnostic at the current token (diagHere; the last consumed
+  /// token at end of input) or at the most recently consumed token
+  /// (diagPrev — for semantic errors discovered after consuming, e.g.
+  /// "unknown master 'X'").
+  util::Diag diagHere(std::string_view code, std::string message);
+  util::Diag diagPrev(std::string_view code, std::string message);
 
  private:
-  util::Diag diagAt(std::size_t tokIdx, std::string_view code,
-                    std::string message) const;
-  /// The full source line `line` lives on (1-based; "" when unknown).
-  std::string lineText(std::size_t line) const;
+  struct Tok {
+    std::string_view text;
+    std::size_t off = 0;
+  };
 
+  /// Pointer to the ahead-th unconsumed token, or nullptr past the end.
+  const Tok* buffered(std::size_t ahead);
+  /// Consumes the (already buffered) current token `t`.
+  void consume(const Tok& t);
+  util::Diag diagAt(std::size_t off, bool located, std::string_view code,
+                    std::string message);
+
+  std::string_view text_;  ///< full source (excerpts, bounds)
+  std::size_t cur_;        ///< scan position
+  std::size_t end_;        ///< range end (treated as end of input)
+  const LineIndex* lines_;
   std::string file_;
-  std::string source_;                  ///< owned copy for excerpts
-  std::vector<std::size_t> lineStart_;  ///< offset of each line in source_
-  std::vector<std::string> tokens_;
-  std::vector<std::size_t> lines_;
-  std::vector<std::size_t> cols_;
-  std::size_t pos_ = 0;
+  std::vector<Tok> buf_;  ///< lookahead buffer: buf_[head_..) pending
+  std::size_t head_ = 0;
+  std::size_t consumed_ = 0;
+  std::size_t lastOff_ = 0;  ///< offset of most recently consumed token
+  bool haveLast_ = false;
 };
 
 }  // namespace pao::lefdef

@@ -1,4 +1,4 @@
-// File-backed input for the streaming LEF/DEF ingest. Maps the file
+// File-backed input for the LEF/DEF parsers. Maps the file
 // read-only with mmap where available (one copy of the bytes, shared by
 // every chunk worker) and falls back to a plain read() slurp on platforms
 // or filesystems where mapping fails. Either way the parser sees one
@@ -7,8 +7,7 @@
 //
 // Open failures throw lefdef::ParseError carrying an unlocated IO001 diag
 // naming the file; callers inject the "lef.io" / "def.io" fault points
-// *before* constructing a FileSource so the fault contract of the legacy
-// path carries over unchanged.
+// *before* constructing a FileSource.
 #pragma once
 
 #include <cstddef>

@@ -186,12 +186,9 @@ bool validateReport(const Json& doc, std::string* error) {
                                          " missing or not a number");
       }
     }
-    for (const std::string_view key : {"mapped", "legacyFallback"}) {
-      const Json* v = ingest->find(key);
-      if (v == nullptr || !v->isBool()) {
-        return failValidation(error, "ingest." + std::string(key) +
-                                         " missing or not a boolean");
-      }
+    const Json* mapped = ingest->find("mapped");
+    if (mapped == nullptr || !mapped->isBool()) {
+      return failValidation(error, "ingest.mapped missing or not a boolean");
     }
   }
   return true;

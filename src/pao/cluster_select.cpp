@@ -10,7 +10,6 @@
 #include "util/arena.hpp"
 #include "util/cpu_time.hpp"
 #include "util/fault.hpp"
-#include "util/jobs.hpp"
 
 namespace pao::core {
 
@@ -22,7 +21,7 @@ std::vector<std::vector<int>> buildClusters(const db::Design& design) {
   // Group instances by row, sort by x, split at gaps. A multi-height
   // instance spans several rows and joins the cluster of each row its bbox
   // covers (its pattern choice is then pinned after the first cluster that
-  // decides it — see ClusterSelector::run()).
+  // decides it — see clusterDeps()).
   std::vector<std::vector<int>> clusters;
   std::map<geom::Coord, std::vector<int>> byRow;
   std::vector<geom::Coord> rowYs;
@@ -94,13 +93,7 @@ std::vector<ClusterSelector::PlacedAp> ClusterSelector::boundaryAps(
   const ClassAccess& ca = (*classes_)[cls];
   if (pat < 0 || pat >= static_cast<int>(ca.patterns.size())) return out;
   const db::UniqueInstance& ui = unique_->classes[cls];
-  const geom::Point memOrigin = design_->instances[inst].origin;
-  geom::Point delta = memOrigin;
-  if (!cfg_.originRelativeClasses) {
-    const geom::Point repOrigin =
-        design_->instances[ui.representative].origin;
-    delta = geom::Point{memOrigin.x - repOrigin.x, memOrigin.y - repOrigin.y};
-  }
+  const geom::Point delta = design_->instances[inst].origin;
 
   const auto add = [&](int pinPos) {
     const int apIdx = ca.patterns[pat].apIdx[pinPos];
@@ -279,30 +272,6 @@ void ClusterSelector::fallbackSelect(const std::vector<int>& cluster,
     }
     chosen[inst] = best;
   }
-}
-
-std::vector<int> ClusterSelector::run() {
-  std::vector<int> chosen(design_->instances.size(), -1);
-  armBudget();
-
-  // Clusters are almost always instance-disjoint and can run concurrently;
-  // only multi-height instances appear in several clusters, and those
-  // clusters must keep their serial order (the first cluster to decide an
-  // instance pins its pattern for the later ones). clusterDeps() encodes
-  // exactly that chain as job-graph edges, so independent clusters overlap
-  // freely instead of waiting at wave barriers.
-  const std::vector<std::vector<std::size_t>> deps = clusterDeps(clusters_);
-  util::JobGraph graph;
-  std::vector<util::JobId> ids(clusters_.size());
-  for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    std::vector<util::JobId> depIds;
-    depIds.reserve(deps[c].size());
-    for (const std::size_t d : deps[c]) depIds.push_back(ids[d]);
-    ids[c] = graph.addJob(
-        [this, c, &chosen] { selectCluster(clusters_[c], chosen); }, depIds);
-  }
-  graph.run(cfg_.numThreads);
-  return chosen;
 }
 
 void ClusterSelector::selectCluster(const std::vector<int>& cluster,

@@ -30,17 +30,6 @@ struct ClusterSelectConfig {
   /// Check every pin pair across the boundary instead of only the two facing
   /// boundary pins (ablation; the paper checks boundary pins only).
   bool boundaryPinsOnly = true;
-  /// Worker threads for the per-cluster DP. Clusters run as a job graph
-  /// whose edges chain clusters sharing a (multi-height) instance, so those
-  /// keep their serial pinning order while disjoint clusters overlap; the
-  /// chosen patterns are identical for any thread count.
-  /// 1 = serial; 0 = hardware concurrency.
-  int numThreads = 1;
-  /// The ClassAccess vector stores access points relative to each class's
-  /// instance origin (OracleSession convention) instead of in the
-  /// representative's design coordinates (batch convention): a member
-  /// instance's placed access location is then ap.loc + member origin.
-  bool originRelativeClasses = false;
   /// Wall-clock budget in seconds for a selection pass (0 = unlimited).
   /// armBudget() starts the clock; once it expires — latched, so one slow
   /// cluster degrades every later one in the pass — each remaining cluster
@@ -50,7 +39,9 @@ struct ClusterSelectConfig {
   double budgetSeconds = 0;
 };
 
-/// Per-unique-instance access data produced by Steps 1-2, in representative
+/// Per-unique-instance access data produced by Steps 1-2. OracleSession
+/// (and so ClusterSelector) keeps access points relative to the class's
+/// instance origin; OracleResult carries them in the representative's
 /// design coordinates.
 struct ClassAccess {
   std::vector<std::vector<AccessPoint>> pinAps;  ///< per signal pin
@@ -69,20 +60,19 @@ std::vector<std::vector<int>> buildClusters(const db::Design& design);
 /// may run — for each instance of c, the latest earlier cluster containing
 /// that instance (multi-height instances chain their clusters; disjoint
 /// clusters have no deps). Replaying these edges reproduces the serial
-/// pinning order exactly, without the barrier the old wave schedule put
-/// between instance-disjoint clusters.
+/// pinning order exactly while instance-disjoint clusters run freely.
 std::vector<std::vector<std::size_t>> clusterDeps(
     const std::vector<std::vector<int>>& clusters);
 
+/// The Step-3 DP over clusters. `classes` holds origin-relative access (a
+/// member instance's placed access location is ap.loc + member origin).
+/// The selector owns no schedule: OracleSession runs selectCluster() as
+/// job-graph nodes (clusterDeps() edges) and re-runs it for dirty clusters.
 class ClusterSelector {
  public:
   ClusterSelector(const db::Design& design, const db::UniqueInstances& unique,
                   const std::vector<ClassAccess>& classes,
                   ClusterSelectConfig cfg = {});
-
-  /// Runs clustering + DP; returns the chosen pattern index per instance
-  /// (-1 for instances whose class has no patterns, e.g. pinless fillers).
-  std::vector<int> run();
 
   /// Runs the DP of one cluster, writing only its own instances' entries of
   /// `chosen` (safe to run concurrently for instance-disjoint clusters).
@@ -92,7 +82,7 @@ class ClusterSelector {
   void selectCluster(const std::vector<int>& cluster,
                      std::vector<int>& chosen);
 
-  /// Clusters found (instance indices, left to right) — exposed for tests.
+  /// buildClusters() of the design at construction.
   const std::vector<std::vector<int>>& clusters() const { return clusters_; }
   /// Pair checks performed, counted deterministically: each unique memo key
   /// contributes its via-clean probe count exactly once — when two workers
@@ -102,8 +92,7 @@ class ClusterSelector {
   /// "pao.step3.pair_checks" registry counter and the session snapshot).
   std::size_t numPairChecks() const { return numPairChecks_.load(); }
   /// selectCluster invocations that actually ran a DP (clusters with at
-  /// least one pattern-bearing instance). Cumulative across run() and
-  /// direct selectCluster calls.
+  /// least one pattern-bearing instance). Cumulative.
   std::size_t numDpRuns() const { return numDpRuns_.load(); }
   /// Summed per-thread CPU seconds spent inside cluster DPs (the Step-3
   /// cpu-clock analog of OracleResult::step3CpuSeconds). Cumulative.
@@ -112,7 +101,7 @@ class ClusterSelector {
   }
 
   /// (Re)starts the cfg.budgetSeconds clock and clears the expired latch.
-  /// run() arms automatically; OracleSession re-arms before each dirty-
+  /// OracleSession arms before the initial pass and before each dirty-
   /// cluster recomputation. With budgetSeconds == 0 only the
   /// "step3.deadline" fault point can expire the pass.
   void armBudget();
@@ -171,7 +160,7 @@ class ClusterSelector {
   std::atomic<std::size_t> numDpRuns_{0};
   std::atomic<long long> dpCpuNanos_{0};
   /// Budget state. deadline_/budgetArmed_ are written by armBudget() before
-  /// the parallel region (parallelFor establishes the happens-before);
+  /// the pipeline graph runs (JobGraph::run establishes the happens-before);
   /// expired_ latches concurrently.
   std::chrono::steady_clock::time_point deadline_{};
   bool budgetArmed_ = false;

@@ -35,8 +35,7 @@ struct OracleConfig {
   bool runClusterSelection = true;
   /// Worker threads for the whole flow (the paper's "support of
   /// multi-threading" future-work item): Steps 1-2 over unique instances and
-  /// the Step-3 cluster DP all run on the shared executor, and the value is
-  /// forwarded into ClusterSelectConfig::numThreads. Results are identical
+  /// the Step-3 cluster DP all run as one job graph. Results are identical
   /// for any thread count. 1 = serial; 0 = hardware concurrency.
   int numThreads = 1;
   /// Optional cross-run cache of intra-cell results keyed by signature —

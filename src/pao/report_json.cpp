@@ -100,7 +100,6 @@ obs::Json ingestSectionJson(const IngestReport& r) {
   j.set("components", obs::Json(r.components));
   j.set("nets", obs::Json(r.nets));
   j.set("mapped", obs::Json(r.mapped));
-  j.set("legacyFallback", obs::Json(r.legacyFallback));
   j.set("parseSeconds", obs::Json(r.parseSeconds));
   const double secs = r.parseSeconds > 0 ? r.parseSeconds : 1e-9;
   j.set("mbPerSec",

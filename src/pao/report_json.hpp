@@ -49,7 +49,7 @@ obs::Json cacheSectionJson(const AccessCache& cache);
 /// sort canonically first — see OracleSession::snapshot()).
 obs::Json degradedSectionJson(const std::vector<DegradedEvent>& events);
 
-/// Inputs for the "ingest" section (pao-report/2, streamed front end only).
+/// Inputs for the "ingest" section (pao-report/2).
 /// Plain values rather than lefdef::IngestStats so pao_core stays
 /// independent of the lefdef layer; pao_cli copies the stats over.
 struct IngestReport {
@@ -59,13 +59,12 @@ struct IngestReport {
   std::size_t components = 0;
   std::size_t nets = 0;
   bool mapped = false;
-  bool legacyFallback = false;
   double parseSeconds = 0;       ///< DEF parse wall time
   std::uint64_t peakRssBytes = 0;  ///< util::peakRssBytes() after ingest
 };
 
-/// "ingest" section: sizes, chunking, throughput and peak RSS of a streamed
-/// parse. mbPerSec/instsPerSec/peakRssBytes are machine-valued and stripped
+/// "ingest" section: sizes, chunking, throughput and peak RSS of a LEF/DEF
+/// ingest. mbPerSec/instsPerSec/peakRssBytes are machine-valued and stripped
 /// by obs::normalizeForCompare; the count keys are schedule-invariant.
 obs::Json ingestSectionJson(const IngestReport& r);
 

@@ -253,8 +253,6 @@ void OracleSession::buildAll() {
   // S1(0),S2(0),S1(1),... so a strict-mode failure still rethrows the
   // lowest class's exception, like the old per-phase parallelFor did.
   ClusterSelectConfig csCfg = cfg_.clusterSelect;
-  csCfg.numThreads = cfg_.numThreads;
-  csCfg.originRelativeClasses = true;
   csCfg.budgetSeconds = cfg_.step3BudgetSeconds;
   selector_ = std::make_unique<ClusterSelector>(*design_, index_.classes(),
                                                 classes_, csCfg);

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "geom/orient.hpp"
@@ -19,7 +18,6 @@
 #include "pao/evaluate.hpp"
 #include "pao/report_json.hpp"
 #include "serve/protocol.hpp"
-#include "util/fault.hpp"
 #include "util/jobs.hpp"
 
 namespace pao::serve {
@@ -59,14 +57,6 @@ long long requireInt(const obs::Json& doc, const char* key) {
     fail(kErrBadField, std::string("field '") + key + "' must be an integer");
   }
   return v.asInt();
-}
-
-std::string slurpFile(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) fail(kErrLoadFailed, "cannot open " + path);
-  std::stringstream ss;
-  ss << f.rdbuf();
-  return ss.str();
 }
 
 }  // namespace
@@ -277,11 +267,12 @@ obs::Json Service::cmdLoad(const Request& req) {
 
   auto tenant = std::make_unique<Tenant>();
   try {
-    PAO_FAULT_INJECT("lef.io");
+    // The *File forms inject the "lef.io"/"def.io" fault points and throw
+    // a located IO001 ParseError when a file cannot be opened.
     auto fresh = std::make_unique<LibraryBundle>();
     lefdef::ParseOptions lefOpts;
     lefOpts.file = lefPath;
-    lefdef::parseLef(slurpFile(lefPath), fresh->tech, fresh->lib, lefOpts);
+    lefdef::parseLefFile(lefPath, fresh->tech, fresh->lib, lefOpts);
     // Intern by tech/library identity: tenants loading the same LEF share
     // Master pointers, which makes AccessCache signatures collide across
     // tenants — the whole point of the server-side cache.
@@ -295,13 +286,13 @@ obs::Json Service::cmdLoad(const Request& req) {
       tenant->bundle = it->second.get();
     }
 
-    PAO_FAULT_INJECT("def.io");
     tenant->design = std::make_unique<db::Design>();
     tenant->design->tech = &tenant->bundle->tech;
     tenant->design->lib = &tenant->bundle->lib;
-    lefdef::ParseOptions defOpts;
-    defOpts.file = defPath;
-    lefdef::parseDef(slurpFile(defPath), *tenant->design, defOpts);
+    lefdef::StreamOptions defOpts;
+    defOpts.parse.file = defPath;
+    defOpts.numThreads = cfg_.numThreads;
+    lefdef::parseDefFile(defPath, *tenant->design, defOpts);
 
     core::OracleConfig cfg = core::withBcaConfig();
     cfg.numThreads = cfg_.numThreads;

@@ -1,5 +1,7 @@
 #include "util/executor.hpp"
 
+#include <charconv>
+#include <cstring>
 #include <thread>
 
 #include "util/jobs.hpp"
@@ -10,6 +12,17 @@ int resolveThreads(int numThreads) {
   if (numThreads >= 1) return numThreads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+bool parseThreadCount(const char* text, int& out) {
+  const char* end = text + std::strlen(text);
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < 0 || value > kMaxThreads) {
+    return false;
+  }
+  out = value;
+  return true;
 }
 
 void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,

@@ -25,6 +25,16 @@ namespace pao::util {
 /// std::thread::hardware_concurrency (at least 1).
 int resolveThreads(int numThreads);
 
+/// Largest explicit worker count the command-line tools accept. Every
+/// worker is an OS thread, so a value like `--threads 100000` must fail up
+/// front rather than start one thread per job.
+constexpr int kMaxThreads = 256;
+
+/// Parses a `--threads` value: a whole decimal integer in [0, kMaxThreads]
+/// (0 = hardware concurrency). Returns false, leaving `out` untouched, on
+/// anything else (empty, sign, trailing characters, out of range).
+bool parseThreadCount(const char* text, int& out);
+
 /// Invokes fn(i) for every i in [0, n) across up to resolveThreads(numThreads)
 /// workers (the calling thread is one of them). Tasks must be independent;
 /// scheduling is dynamic (work-stealing via a shared atomic cursor) so uneven

@@ -1,6 +1,6 @@
-// String interning for the streaming ingest path: maps byte strings to
-// dense uint32 ids and back. Designed for the two hot uses in
-// lefdef/stream.cpp:
+// String interning for the DEF ingest path: maps byte strings to dense
+// uint32 ids and back. Designed for the two hot uses in
+// lefdef/def_parser.cpp:
 //   * COMPONENTS: instance names are interned in file order, so an
 //     instance's id IS its index in Design::instances — the NETS section
 //     resolves component references with one hash probe and no per-lookup

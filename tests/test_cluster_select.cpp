@@ -1,9 +1,15 @@
+// Step 3 (cluster-based pattern selection) through the session pipeline —
+// the one scheduler production runs: Steps 1-2 per class, then each
+// cluster's DP as a job-graph node (OracleSession, behind
+// PinAccessOracle::run() and pao_cli analyze).
 #include "pao/cluster_select.hpp"
 
 #include <gtest/gtest.h>
 
-#include "pao/ap_gen.hpp"
-#include "pao/pattern_gen.hpp"
+#include <memory>
+
+#include "pao/oracle.hpp"
+#include "pao/session.hpp"
 #include "test_util.hpp"
 
 namespace pao::core {
@@ -39,74 +45,66 @@ class ClusterFixture : public ::testing::Test {
       d.instances.push_back(inst);
     }
     d.buildInstanceIndex();
+    cfg_ = OracleConfig{};
+    cfg_.patternGen.numPatterns = numPatterns;
+  }
 
-    unique_ = db::extractUniqueInstances(d);
-    classes_.clear();
-    classes_.resize(unique_.classes.size());
-    for (std::size_t c = 0; c < unique_.classes.size(); ++c) {
-      const InstContext ctx(d, unique_.classes[c]);
-      ClassAccess& ca = classes_[c];
-      ca.pinAps = AccessPointGenerator(ctx).generateAll();
-      PatternGenConfig cfg;
-      cfg.numPatterns = numPatterns;
-      PatternGenerator gen(ctx, ca.pinAps, cfg);
-      ca.patterns = gen.run();
-      ca.pinOrder = gen.pinOrder();
-    }
+  /// Steps 1-3 over the fixture design, read-only.
+  std::unique_ptr<OracleSession> analyze() const {
+    return std::make_unique<OracleSession>(
+        static_cast<const db::Design&>(*td_.design), cfg_);
   }
 
   test::TinyDesign td_;
-  db::UniqueInstances unique_;
-  std::vector<ClassAccess> classes_;
+  OracleConfig cfg_;
 };
 
 TEST_F(ClusterFixture, ClustersSplitAtGaps) {
   buildDesign({{0, 0}, {1200, 0}, {3600, 0}, {0, 1200}});
-  ClusterSelector sel(*td_.design, unique_, classes_);
-  ASSERT_EQ(sel.clusters().size(), 3u);
-  EXPECT_EQ(sel.clusters()[0], (std::vector<int>{0, 1}));
-  EXPECT_EQ(sel.clusters()[1], (std::vector<int>{2}));
-  EXPECT_EQ(sel.clusters()[2], (std::vector<int>{3}));
+  const std::vector<std::vector<int>> clusters = buildClusters(*td_.design);
+  ASSERT_EQ(clusters.size(), 3u);
+  EXPECT_EQ(clusters[0], (std::vector<int>{0, 1}));
+  EXPECT_EQ(clusters[1], (std::vector<int>{2}));
+  EXPECT_EQ(clusters[2], (std::vector<int>{3}));
+  EXPECT_EQ(analyze()->stats().lastClusterCount, 3u);
 }
 
 TEST_F(ClusterFixture, EveryInstanceGetsAPattern) {
   buildDesign({{0, 0}, {1200, 0}, {2400, 0}});
-  ClusterSelector sel(*td_.design, unique_, classes_);
-  const std::vector<int> chosen = sel.run();
+  const std::vector<int> chosen = analyze()->chosenPattern();
   ASSERT_EQ(chosen.size(), 3u);
   for (const int c : chosen) EXPECT_GE(c, 0);
 }
 
 TEST_F(ClusterFixture, AbuttingInstancesChooseCompatiblePatterns) {
   buildDesign({{0, 0}, {1200, 0}});
-  ClusterSelector sel(*td_.design, unique_, classes_);
-  const std::vector<int> chosen = sel.run();
+  const OracleResult res = analyze()->snapshot();
 
-  // Verify the selection with an independent DRC check of the facing vias.
-  const ClassAccess& ca = classes_[unique_.classOf[0]];
-  const int rightPin = ca.pinOrder.back();
-  const int leftPin = ca.pinOrder.front();
-  const int apR = ca.patterns[chosen[0]].apIdx[rightPin];
-  const int apL = ca.patterns[chosen[1]].apIdx[leftPin];
-  ASSERT_GE(apR, 0);
-  ASSERT_GE(apL, 0);
-  const AccessPoint& right = ca.pinAps[rightPin][apR];
-  const AccessPoint& left = ca.pinAps[leftPin][apL];
+  // Verify the selection with an independent DRC check of the facing vias,
+  // each placed at its own instance.
+  const auto pinOrder = [&](int inst) {
+    return res.classes[res.unique.classOf[inst]].pinOrder;
+  };
+  const auto right = res.chosenAp(*td_.design, 0, pinOrder(0).back());
+  const auto left = res.chosenAp(*td_.design, 1, pinOrder(1).front());
+  ASSERT_TRUE(right.has_value());
+  ASSERT_TRUE(left.has_value());
+  EXPECT_EQ(left->loc.x - left->ap->loc.x, 1200)
+      << "u1's access point must be placed at u1";
 
   drc::DrcEngine engine(*td_.tech);
-  const Point leftLoc = left.loc + Point{1200, 0};  // u1 is shifted by 1200
   EXPECT_TRUE(engine
-                  .checkViaPair(*right.primaryVia(*td_.tech), right.loc, 1,
-                                *left.primaryVia(*td_.tech), leftLoc, 2)
+                  .checkViaPair(*right->ap->primaryVia(*td_.tech), right->loc,
+                                1, *left->ap->primaryVia(*td_.tech),
+                                left->loc, 2)
                   .empty())
-      << "selected boundary vias conflict: " << right.loc << " vs "
-      << leftLoc;
+      << "selected boundary vias conflict: " << right->loc << " vs "
+      << left->loc;
 }
 
 TEST_F(ClusterFixture, SinglePatternModeStillSelects) {
   buildDesign({{0, 0}, {1200, 0}}, /*numPatterns=*/1);
-  ClusterSelector sel(*td_.design, unique_, classes_);
-  const std::vector<int> chosen = sel.run();
+  const std::vector<int> chosen = analyze()->chosenPattern();
   EXPECT_EQ(chosen[0], 0);
   EXPECT_EQ(chosen[1], 0);
 }
@@ -117,17 +115,15 @@ TEST_F(ClusterFixture, PairChecksAreMemoizedAcrossRepeats) {
   std::vector<Point> origins;
   for (int i = 0; i < 20; ++i) origins.push_back({i * 1200, 0});
   buildDesign(origins);
-  ClusterSelector sel(*td_.design, unique_, classes_);
-  sel.run();
   // 19 abutments, 3x3 pattern combos each; without memoization that is
   // > 170 pair evaluations (x2 directions) — with it, at most one per
   // distinct (pattern, pattern) combo.
-  EXPECT_LE(sel.numPairChecks(), 2u * 9u);
+  EXPECT_LE(analyze()->stats().pairChecks, 2u * 9u);
 }
 
 TEST_F(ClusterFixture, FillersAreTransparent) {
   buildDesign({{0, 0}, {1200, 0}});
-  // Insert a pattern-less filler class between the two cells by giving the
+  // Insert a pattern-less filler class after the two cells by giving the
   // design a third instance of a pinless master.
   db::Library fillLib;
   db::Master& filler = fillLib.addMaster("FILL");
@@ -139,21 +135,7 @@ TEST_F(ClusterFixture, FillersAreTransparent) {
   inst.origin = {2400, 0};
   td_.design->instances.push_back(inst);
   td_.design->buildInstanceIndex();
-  unique_ = db::extractUniqueInstances(*td_.design);
-  // Rebuild class access for the new class layout: the filler class gets no
-  // patterns.
-  std::vector<ClassAccess> classes(unique_.classes.size());
-  for (std::size_t c = 0; c < unique_.classes.size(); ++c) {
-    if (unique_.classes[c].master->signalPinIndices().empty()) continue;
-    const InstContext ctx(*td_.design, unique_.classes[c]);
-    ClassAccess& ca = classes[c];
-    ca.pinAps = AccessPointGenerator(ctx).generateAll();
-    PatternGenerator gen(ctx, ca.pinAps);
-    ca.patterns = gen.run();
-    ca.pinOrder = gen.pinOrder();
-  }
-  ClusterSelector sel(*td_.design, unique_, classes);
-  const std::vector<int> chosen = sel.run();
+  const std::vector<int> chosen = analyze()->chosenPattern();
   EXPECT_GE(chosen[0], 0);
   EXPECT_GE(chosen[1], 0);
   EXPECT_EQ(chosen[2], -1);  // filler has no pattern

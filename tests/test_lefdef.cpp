@@ -12,7 +12,10 @@ namespace pao::lefdef {
 namespace {
 
 TEST(Lexer, TokensAndComments) {
-  Lexer lex("FOO bar ; # comment to eol\n ( 1.5 ) \"quoted str\" END");
+  const std::string_view text =
+      "FOO bar ; # comment to eol\n ( 1.5 ) \"quoted str\" END";
+  const LineIndex lines(text);
+  Lexer lex(text, lines);
   EXPECT_EQ(lex.next(), "FOO");
   EXPECT_EQ(lex.next(), "bar");
   EXPECT_TRUE(lex.accept(";"));
@@ -27,13 +30,26 @@ TEST(Lexer, TokensAndComments) {
 }
 
 TEST(Lexer, ExpectThrowsWithLocation) {
-  Lexer lex("A\nB");
+  const std::string_view text = "A\nB";
+  const LineIndex lines(text);
+  Lexer lex(text, lines, "t.def");
   lex.expect("A");
-  EXPECT_THROW(lex.expect("C"), ParseError);
+  try {
+    lex.expect("C");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.diag.code, "LEX002");
+    EXPECT_EQ(e.diag.loc.file, "t.def");
+    EXPECT_EQ(e.diag.loc.line, 2u);
+    EXPECT_EQ(e.diag.loc.col, 1u);
+    EXPECT_EQ(e.diag.excerpt, "B");
+  }
 }
 
 TEST(Lexer, DbuScaling) {
-  Lexer lex("0.19 -0.5");
+  const std::string_view text = "0.19 -0.5";
+  const LineIndex lines(text);
+  Lexer lex(text, lines);
   EXPECT_EQ(lex.nextDbu(2000), 380);
   EXPECT_EQ(lex.nextDbu(2000), -1000);
 }

@@ -6,6 +6,7 @@
 #include "pao/cluster_select.hpp"
 #include "pao/evaluate.hpp"
 #include "pao/oracle.hpp"
+#include "pao/session.hpp"
 
 namespace pao {
 namespace {
@@ -45,10 +46,12 @@ TEST(MultiHeight, PlacementsArePresentAndLegal) {
 
 TEST(MultiHeight, JoinsClustersOfBothRows) {
   const benchgen::Testcase tc = multiHeightCase();
-  core::PinAccessOracle oracle(*tc.design, core::withBcaConfig());
-  const core::OracleResult res = oracle.run();
-
-  core::ClusterSelector sel(*tc.design, res.unique, res.classes);
+  // The clusters the session pipeline's Step 3 ran over.
+  const core::OracleSession session(static_cast<const db::Design&>(*tc.design),
+                                    core::withBcaConfig());
+  const std::vector<std::vector<int>> clusters =
+      core::buildClusters(*tc.design);
+  ASSERT_EQ(session.stats().lastClusterCount, clusters.size());
   int dffh = -1;
   for (int i = 0; i < static_cast<int>(tc.design->instances.size()); ++i) {
     if (tc.design->instances[i].master->name == "DFFHX1") {
@@ -58,7 +61,7 @@ TEST(MultiHeight, JoinsClustersOfBothRows) {
   }
   ASSERT_GE(dffh, 0);
   int memberships = 0;
-  for (const std::vector<int>& cluster : sel.clusters()) {
+  for (const std::vector<int>& cluster : clusters) {
     for (const int idx : cluster) {
       if (idx == dffh) ++memberships;
     }
@@ -67,6 +70,7 @@ TEST(MultiHeight, JoinsClustersOfBothRows) {
   // (unless one of the two rows happens to hold no other instance at all).
   EXPECT_GE(memberships, 1);
   EXPECT_LE(memberships, 2);
+  EXPECT_GE(session.chosenPattern()[dffh], 0);
 }
 
 TEST(MultiHeight, FullFlowStaysClean) {

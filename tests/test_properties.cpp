@@ -13,7 +13,6 @@
 #include "lefdef/def_writer.hpp"
 #include "lefdef/lef_parser.hpp"
 #include "lefdef/lef_writer.hpp"
-#include "lefdef/stream.hpp"
 #include "pao/evaluate.hpp"
 
 namespace pao {

@@ -1,16 +1,17 @@
-// Streaming-ingest equivalence (ROADMAP item 3): parseDefStream must be
-// indistinguishable from the legacy serial parseDef — same design bytes
-// (compared via db::designFingerprint), same diagnostics in the same
-// order, same recovery and bail-out behaviour — at every preset, thread
-// count, and chunk size; and the sharded unique-instance extraction must
-// reproduce the serial class numbering exactly.
-#include "lefdef/stream.hpp"
-
+// DEF ingest invariance: the chunked parse must not depend on how the
+// input is cut or scheduled — same design bytes (compared via
+// db::designFingerprint), same diagnostics in the same order, same
+// recovery and GEN001 bail-out — at every preset, thread count and chunk
+// size; and the sharded unique-instance extraction must reproduce the
+// serial class numbering exactly. The one-chunk results are
+// anchored to literals captured from the former single-pass parser, so
+// chunk invariance cannot hide a change both paths share.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,7 @@ benchgen::Testcase smallCase() {
   return benchgen::generate(spec, 1.0);
 }
 
-/// Streamed parse with chunks small enough that even test-sized DEFs split
+/// Parse options with chunks small enough that even test-sized DEFs split
 /// into several of them.
 StreamOptions tinyChunks(int threads, bool recover = false,
                          std::size_t maxErrors = 64) {
@@ -50,6 +51,13 @@ StreamOptions tinyChunks(int threads, bool recover = false,
   opts.parse.maxErrors = maxErrors;
   opts.numThreads = threads;
   opts.chunkBytes = 2048;
+  return opts;
+}
+
+/// The reference cut: one chunk per section, one thread.
+StreamOptions oneChunk(bool recover = false, std::size_t maxErrors = 64) {
+  StreamOptions opts = tinyChunks(1, recover, maxErrors);
+  opts.chunkBytes = std::numeric_limits<std::size_t>::max();
   return opts;
 }
 
@@ -67,7 +75,7 @@ void expectSameDiags(const std::vector<util::Diag>& got,
   }
 }
 
-/// Breaks identifiers in the generated DEF so both parsers must recover:
+/// Breaks identifiers in the generated DEF so the parse must recover:
 /// every 5th component's master ('~' prefix -> DEF002), every 7th net term
 /// ('~' on the component or PIN name -> DEF004/DEF003), and optionally the
 /// first TRACKS layer (DEF001, in the serial preamble). '~' never starts a
@@ -109,7 +117,7 @@ db::Design freshTarget(const benchgen::Testcase& tc) {
 
 // ------------------------------------------------------ clean-input parity
 
-TEST(StreamEquivalence, EveryPresetMatchesLegacyAtEveryThreadCount) {
+TEST(StreamEquivalence, EveryPresetIsChunkInvariantAtEveryThreadCount) {
   std::vector<benchgen::TestcaseSpec> specs = benchgen::ispd18Suite();
   specs.push_back(benchgen::aes14Spec());
   specs.push_back(benchgen::mixedSpec());
@@ -118,32 +126,39 @@ TEST(StreamEquivalence, EveryPresetMatchesLegacyAtEveryThreadCount) {
     const benchgen::Testcase tc = benchgen::generate(spec, /*scale=*/0.01);
     const std::string text = lefdef::writeDef(*tc.design);
 
-    db::Design legacy = freshTarget(tc);
-    lefdef::parseDef(text, legacy);
-    const std::uint64_t want = db::designFingerprint(legacy);
+    db::Design whole = freshTarget(tc);
+    IngestStats wholeStats;
+    ASSERT_TRUE(
+        lefdef::parseDefStream(text, whole, oneChunk(), &wholeStats).ok());
+    const std::uint64_t want = db::designFingerprint(whole);
+    EXPECT_EQ(wholeStats.components, tc.design->instances.size());
+    EXPECT_EQ(wholeStats.nets, tc.design->nets.size());
 
     for (const int threads : {1, 4, 0}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      db::Design streamed = freshTarget(tc);
+      db::Design chunked = freshTarget(tc);
       IngestStats stats;
       const ParseResult res =
-          lefdef::parseDefStream(text, streamed, tinyChunks(threads), &stats);
+          lefdef::parseDefStream(text, chunked, tinyChunks(threads), &stats);
       EXPECT_TRUE(res.ok());
-      EXPECT_EQ(db::designFingerprint(streamed), want);
-      EXPECT_EQ(stats.components, legacy.instances.size());
-      EXPECT_EQ(stats.nets, legacy.nets.size());
+      EXPECT_EQ(db::designFingerprint(chunked), want);
+      EXPECT_GT(stats.chunks, wholeStats.chunks);
+      EXPECT_EQ(stats.components, wholeStats.components);
+      EXPECT_EQ(stats.nets, wholeStats.nets);
       EXPECT_EQ(stats.bytes, text.size());
-      EXPECT_FALSE(stats.legacyFallback);
     }
   }
 }
 
 TEST(StreamEquivalence, ChunkSizeNeverChangesTheResult) {
+  // designFingerprint of smallCase() as parsed by the former single-pass
+  // parser.
+  constexpr std::uint64_t kSinglePassFingerprint = 0x6cc712231eebe5e6ULL;
   const benchgen::Testcase tc = smallCase();
   const std::string text = lefdef::writeDef(*tc.design);
-  db::Design legacy = freshTarget(tc);
-  lefdef::parseDef(text, legacy);
-  const std::uint64_t want = db::designFingerprint(legacy);
+  db::Design whole = freshTarget(tc);
+  ASSERT_TRUE(lefdef::parseDefStream(text, whole, oneChunk()).ok());
+  EXPECT_EQ(db::designFingerprint(whole), kSinglePassFingerprint);
 
   for (const std::size_t chunkBytes :
        {std::size_t{1}, std::size_t{512}, std::size_t{1} << 14,
@@ -151,37 +166,38 @@ TEST(StreamEquivalence, ChunkSizeNeverChangesTheResult) {
     SCOPED_TRACE("chunkBytes=" + std::to_string(chunkBytes));
     StreamOptions opts = tinyChunks(/*threads=*/4);
     opts.chunkBytes = chunkBytes;
-    db::Design streamed = freshTarget(tc);
-    IngestStats stats;
-    EXPECT_TRUE(lefdef::parseDefStream(text, streamed, opts, &stats).ok());
-    EXPECT_EQ(db::designFingerprint(streamed), want);
+    db::Design chunked = freshTarget(tc);
+    EXPECT_TRUE(lefdef::parseDefStream(text, chunked, opts).ok());
+    EXPECT_EQ(db::designFingerprint(chunked), kSinglePassFingerprint);
   }
 }
 
-// ------------------------------------------------- diagnostics equivalence
+// ------------------------------------------------- diagnostics invariance
 
-TEST(StreamEquivalence, RecoveryDiagsMatchLegacyExactly) {
+TEST(StreamEquivalence, RecoveryDiagsAreChunkInvariant) {
   const benchgen::Testcase tc = smallCase();
   const std::string text =
       corruptDef(lefdef::writeDef(*tc.design), /*corruptTracks=*/true);
 
-  ParseOptions legacyOpts;
-  legacyOpts.recover = true;
-  legacyOpts.maxErrors = 1000;  // plenty: the whole error list, no bail
-  db::Design legacy = freshTarget(tc);
-  const ParseResult wantRes = lefdef::parseDef(text, legacy, legacyOpts);
-  ASSERT_FALSE(wantRes.ok());
-  ASSERT_LT(wantRes.errorCount(), 1000u);
+  // maxErrors 1000 is plenty: the whole error list, no bail.
+  db::Design whole = freshTarget(tc);
+  const ParseResult wantRes = lefdef::parseDefStream(
+      text, whole, oneChunk(/*recover=*/true, /*maxErrors=*/1000));
+  // Captured from the former single-pass parser: 94 errors, and the
+  // design they leave behind.
+  EXPECT_EQ(wantRes.diags.size(), 94u);
+  EXPECT_EQ(wantRes.errorCount(), 94u);
+  EXPECT_EQ(whole.instances.size(), 130u);
+  EXPECT_EQ(whole.nets.size(), 19u);
+  EXPECT_EQ(db::designFingerprint(whole), 0xadf42abc57467175ULL);
 
   for (const int threads : {1, 4, 0}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    db::Design streamed = freshTarget(tc);
-    IngestStats stats;
+    db::Design chunked = freshTarget(tc);
     const ParseResult res = lefdef::parseDefStream(
-        text, streamed, tinyChunks(threads, /*recover=*/true, 1000), &stats);
+        text, chunked, tinyChunks(threads, /*recover=*/true, 1000));
     expectSameDiags(res.diags, wantRes.diags);
-    EXPECT_EQ(db::designFingerprint(streamed), db::designFingerprint(legacy));
-    EXPECT_FALSE(stats.legacyFallback);
+    EXPECT_EQ(db::designFingerprint(chunked), db::designFingerprint(whole));
   }
 }
 
@@ -190,23 +206,44 @@ TEST(StreamEquivalence, MaxErrorsBailReproducesLegacyStateExactly) {
   const std::string text =
       corruptDef(lefdef::writeDef(*tc.design), /*corruptTracks=*/false);
 
-  ParseOptions legacyOpts;
-  legacyOpts.recover = true;
-  legacyOpts.maxErrors = 10;
-  db::Design legacy = freshTarget(tc);
-  const ParseResult wantRes = lefdef::parseDef(text, legacy, legacyOpts);
-  ASSERT_EQ(wantRes.errorCount(), 11u);  // 10 real + GEN001
-  ASSERT_EQ(wantRes.diags.back().code, "GEN001");
-
+  // The former single-pass parser's bail-out on this input: the first ten
+  // DEF002 errors (every 5th component), then GEN001 — with the 40 good
+  // components before the 10th error committed and no nets.
+  struct Want {
+    const char* code;
+    std::size_t line;
+    std::size_t col;
+  };
+  const std::vector<Want> want = {
+      {"DEF002", 43, 11}, {"DEF002", 48, 11}, {"DEF002", 53, 12},
+      {"DEF002", 58, 12}, {"DEF002", 63, 12}, {"DEF002", 68, 12},
+      {"DEF002", 73, 12}, {"DEF002", 78, 12}, {"DEF002", 83, 12},
+      {"DEF002", 88, 12}, {"GEN001", 0, 0}};
+  const auto check = [&](const StreamOptions& opts) {
+    db::Design design = freshTarget(tc);
+    const ParseResult res = lefdef::parseDefStream(text, design, opts);
+    ASSERT_EQ(res.diags.size(), want.size());
+    EXPECT_EQ(res.errorCount(), 11u);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE("diag " + std::to_string(i));
+      EXPECT_EQ(res.diags[i].code, want[i].code);
+      EXPECT_EQ(res.diags[i].loc.line, want[i].line);
+      EXPECT_EQ(res.diags[i].loc.col, want[i].col);
+    }
+    EXPECT_EQ(res.diags.front().message,
+              "component references unknown master '~BUFX2'");
+    EXPECT_EQ(res.diags.back().message, "too many errors; giving up");
+    EXPECT_EQ(design.instances.size(), 40u);
+    EXPECT_TRUE(design.nets.empty());
+    EXPECT_EQ(db::designFingerprint(design), 0x9aa6c5943908e038ULL);
+  };
+  {
+    SCOPED_TRACE("one chunk");
+    check(oneChunk(/*recover=*/true, /*maxErrors=*/10));
+  }
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    db::Design streamed = freshTarget(tc);
-    IngestStats stats;
-    const ParseResult res = lefdef::parseDefStream(
-        text, streamed, tinyChunks(threads, /*recover=*/true, 10), &stats);
-    expectSameDiags(res.diags, wantRes.diags);
-    EXPECT_EQ(db::designFingerprint(streamed), db::designFingerprint(legacy));
-    EXPECT_TRUE(stats.legacyFallback);
+    check(tinyChunks(threads, /*recover=*/true, /*maxErrors=*/10));
   }
 }
 
@@ -217,34 +254,32 @@ TEST(StreamEquivalence, StrictModeThrowsTheFileFirstError) {
   const std::string text =
       corruptDef(lefdef::writeDef(*tc.design), /*corruptTracks=*/false);
 
-  util::Diag want;
-  db::Design legacy = freshTarget(tc);
-  try {
-    lefdef::parseDef(text, legacy);
-    FAIL() << "legacy parse should have thrown";
-  } catch (const ParseError& e) {
-    want = e.diag;
+  // The file's first error, as the former single-pass parser reported it.
+  const auto check = [&](const StreamOptions& opts) {
+    db::Design design = freshTarget(tc);
+    try {
+      lefdef::parseDefStream(text, design, opts);
+      FAIL() << "strict parse should have thrown";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.diag.code, "DEF002");
+      EXPECT_EQ(e.diag.loc.line, 43u);
+      EXPECT_EQ(e.diag.loc.col, 11u);
+      EXPECT_EQ(e.diag.message,
+                "component references unknown master '~BUFX2'");
+    }
+    // A strict-mode throw leaves the target design untouched.
+    EXPECT_TRUE(design.instances.empty());
+    EXPECT_TRUE(design.nets.empty());
+    EXPECT_TRUE(design.name.empty());
+  };
+  {
+    SCOPED_TRACE("one chunk");
+    check(oneChunk());
   }
-
   for (const int threads : {1, 4, 0}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    db::Design streamed = freshTarget(tc);
-    try {
-      lefdef::parseDefStream(text, streamed, tinyChunks(threads));
-      FAIL() << "streamed parse should have thrown";
-    } catch (const ParseError& e) {
-      EXPECT_EQ(e.diag.code, want.code);
-      EXPECT_EQ(e.diag.loc.line, want.loc.line);
-      EXPECT_EQ(e.diag.loc.col, want.loc.col);
-      EXPECT_EQ(e.diag.message, want.message);
-    }
-    // The documented strict-mode difference: the streamed parse commits
-    // nothing on failure (the legacy parse leaves a partial design).
-    EXPECT_TRUE(streamed.instances.empty());
-    EXPECT_TRUE(streamed.nets.empty());
-    EXPECT_TRUE(streamed.name.empty());
+    check(tinyChunks(threads));
   }
-  EXPECT_FALSE(legacy.instances.empty());
 }
 
 // ------------------------------------------------------- file-backed forms

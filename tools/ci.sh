@@ -15,7 +15,7 @@
 #                      the profile smoke: analyze --profile-out on the mixed
 #                      preset at --threads 4 must emit a valid pao-report/2
 #                      whose headroom exceeds 1)
-#   4. Scale smoke    (huge-preset gen -> analyze --stream -> report_check
+#   4. Scale smoke    (huge-preset gen -> analyze --profile-out -> report_check
 #                      ingest -> bench_scale self-checks; PAO_CI_SCALE=1
 #                      for the full ~1.5M-instance acceptance run)
 #   5. Fault matrix   (tests/fault_matrix.sh: every cataloged fault point
@@ -40,7 +40,7 @@
 #                      equivalence at threads 1/4/0)
 #   9. UBSan          (-fsanitize=undefined with all diagnostics fatal)
 #  10. UBSan fuzz     (pao_fuzz: >=10k seeded mutation iterations over the
-#                      LEF/DEF parsers, the streamed/legacy differential,
+#                      LEF/DEF parsers, the one-chunk/N-chunk differential,
 #                      and the cache reader, zero findings)
 # The whole tree builds with -Wall -Wextra -Werror in every leg.
 # Usage: tools/ci.sh [source-dir]   (defaults to the script's parent repo)
@@ -123,15 +123,21 @@ awk "BEGIN { exit !(${PROF_HEADROOM:-0} > 1.0) }"
 echo "== Scale smoke (streaming ingest) =="
 # ROADMAP item 3 acceptance path at CI-friendly size: stream-generate a
 # huge-preset design, ingest it with the chunked parallel parser, validate
-# the report's ingest section (throughput and peak RSS must be recorded),
-# and run the scale bench's self-checks (streamed==legacy fingerprint,
+# the --profile-out document's ingest section (throughput and peak RSS must
+# be recorded), compare the --report-json documents at threads 1 and 4, and
+# run the scale bench's self-checks (one-chunk==N-chunk fingerprint,
 # shard-count invariance, nonzero throughput). PAO_CI_SCALE=1 reproduces
 # the full ~1.5M-instance acceptance run.
 SCALE=${PAO_CI_SCALE:-0.02}
 "$BI_DIR/tools/pao_cli" gen h "$SCALE" "$BI_DIR/ci_scale"
 "$BI_DIR/tools/pao_cli" analyze "$BI_DIR/ci_scale.lef" "$BI_DIR/ci_scale.def" \
-  --stream --threads 4 --report-json "$BI_DIR/ci_scale_r.json"
-"$BI_DIR/tools/report_check" ingest "$BI_DIR/ci_scale_r.json"
+  --threads 1 --report-json "$BI_DIR/ci_scale_r1.json"
+"$BI_DIR/tools/pao_cli" analyze "$BI_DIR/ci_scale.lef" "$BI_DIR/ci_scale.def" \
+  --threads 4 --report-json "$BI_DIR/ci_scale_r4.json" \
+  --profile-out "$BI_DIR/ci_scale_p4.json"
+"$BI_DIR/tools/report_check" compare \
+  "$BI_DIR/ci_scale_r1.json" "$BI_DIR/ci_scale_r4.json"
+"$BI_DIR/tools/report_check" ingest "$BI_DIR/ci_scale_p4.json"
 env PAO_BENCH_REPORT_DIR="$BI_DIR" PAO_SCALE="$SCALE" \
   "$BI_DIR/bench/bench_scale"
 "$BI_DIR/tools/report_check" ingest "$BI_DIR/BENCH_scale.json"

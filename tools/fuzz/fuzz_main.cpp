@@ -13,10 +13,11 @@
 //   * AccessCache::load never throws: it merges entries or rejects the file
 //     with a reason;
 //   * the `stream` target is differential: parseDefStream with a small
-//     randomized chunk size (so mutations land mid-chunk and truncations
-//     cut entities at chunk edges) must match the legacy parse on every
-//     mutated input — same design fingerprint, same diagnostics in
-//     recovery mode, and the same first ParseError in strict mode.
+//     randomized chunk size and thread count (so mutations land mid-chunk
+//     and truncations cut entities at chunk edges) must match the
+//     one-chunk, one-thread parse on every mutated input — same design
+//     fingerprint, same diagnostics in recovery mode, and the same first
+//     ParseError in strict mode.
 // Any crash, unexpected exception type, or sanitizer trap is a finding.
 // Everything is a pure function of (corpus, iterations, seed), so a failing
 // run is reproduced by re-running with the same arguments; the iteration
@@ -40,7 +41,6 @@
 #include "db/fingerprint.hpp"
 #include "lefdef/def_parser.hpp"
 #include "lefdef/lef_parser.hpp"
-#include "lefdef/stream.hpp"
 #include "pao/access_cache.hpp"
 
 namespace fs = std::filesystem;
@@ -224,101 +224,64 @@ Violation fuzzDefOnce(const std::string& input, const db::Tech& tech,
                               [&] { lefdef::parseDef(input, design); });
 }
 
-/// Differential check: the chunked streaming parser must be observably
-/// identical to the legacy parser on arbitrary mutated input (DESIGN.md
-/// "Streaming ingest & scale" — the only allowed divergence is the
-/// strict-mode partial residue on the target design, which fingerprinting
-/// two separate targets never observes).
+/// Differential check: the DEF parse must be observably independent of
+/// chunking and thread count on arbitrary mutated input (DESIGN.md
+/// "Streaming ingest & scale"): an N-chunk parse at a random worker count
+/// against the one-chunk, one-thread parse of the same text.
 Violation fuzzStreamOnce(const std::string& input, const db::Tech& tech,
                          const db::Library& lib, Rng& rng) {
-  lefdef::StreamOptions so;
-  so.parse.file = "<fuzz>";
-  so.numThreads = 1 + static_cast<int>(rng.below(3));
-  so.chunkBytes = 64 + rng.below(4096);
+  lefdef::StreamOptions chunked;
+  chunked.parse.file = "<fuzz>";
+  chunked.numThreads = 1 + static_cast<int>(rng.below(3));
+  chunked.chunkBytes = 64 + rng.below(4096);
+  lefdef::StreamOptions whole = chunked;
+  whole.numThreads = 1;
+  whole.chunkBytes = input.size() + 1;
 
-  // Recovery mode: neither parser may throw, and they must agree on the
-  // parsed design and the full diagnostic stream.
-  {
-    lefdef::ParseOptions opts = so.parse;
-    opts.recover = true;
-    db::Design legacy;
-    legacy.tech = &tech;
-    legacy.lib = &lib;
-    lefdef::ParseResult lr;
-    Violation v = expectNoThrow("recovery parseDef (legacy)", [&] {
-      lr = lefdef::parseDef(input, legacy, opts);
-    });
-    if (v.failed) return v;
-    db::Design streamed;
-    streamed.tech = &tech;
-    streamed.lib = &lib;
-    lefdef::StreamOptions ropts = so;
-    ropts.parse.recover = true;
-    lefdef::ParseResult sr;
-    v = expectNoThrow("recovery parseDefStream", [&] {
-      sr = lefdef::parseDefStream(input, streamed, ropts);
-    });
-    if (v.failed) return v;
-    if (db::designFingerprint(legacy) != db::designFingerprint(streamed)) {
-      return {true, "recovery streamed design diverged from legacy"};
-    }
-    if (lr.diags.size() != sr.diags.size()) {
-      return {true, "recovery streamed diag count " +
-                        std::to_string(sr.diags.size()) + " != legacy " +
-                        std::to_string(lr.diags.size())};
-    }
-    for (std::size_t i = 0; i < lr.diags.size(); ++i) {
-      if (lr.diags[i].format() != sr.diags[i].format()) {
-        return {true, "recovery diag " + std::to_string(i) +
-                          " diverged: " + sr.diags[i].format() + " vs " +
-                          lr.diags[i].format()};
+  // One parse of `input`: the outcome (design fingerprint plus every
+  // diagnostic, or the thrown ParseError), or a violation for any other
+  // exception type.
+  struct Outcome {
+    bool threw = false;
+    std::string text;
+  };
+  const auto parse = [&](const char* what, lefdef::StreamOptions opts,
+                         bool recover, Outcome& out) -> Violation {
+    opts.parse.recover = recover;
+    db::Design design;
+    design.tech = &tech;
+    design.lib = &lib;
+    try {
+      const lefdef::ParseResult r =
+          lefdef::parseDefStream(input, design, opts);
+      out.text = std::to_string(db::designFingerprint(design));
+      for (const util::Diag& d : r.diags) out.text += "\n" + d.format();
+    } catch (const lefdef::ParseError& e) {
+      if (recover) {
+        return {true, std::string(what) + " threw in recovery mode: " +
+                          e.what()};
       }
+      out.threw = true;
+      out.text = e.diag.format();
+    } catch (const std::exception& e) {
+      return {true, std::string(what) + " threw a non-ParseError: " +
+                        e.what()};
     }
-  }
+    return {};
+  };
 
-  // Strict mode: same outcome — both succeed with identical designs, or
-  // both throw ParseError carrying the file's first error.
-  std::string legacyErr;
-  std::string streamErr;
-  bool legacyThrew = false;
-  bool streamThrew = false;
-  db::Design legacy;
-  legacy.tech = &tech;
-  legacy.lib = &lib;
-  try {
-    lefdef::parseDef(input, legacy, so.parse);
-  } catch (const lefdef::ParseError& e) {
-    legacyThrew = true;
-    legacyErr = e.diag.format();
-  } catch (const std::exception& e) {
-    return {true, std::string("strict parseDef threw a non-ParseError: ") +
-                      e.what()};
-  }
-  db::Design streamed;
-  streamed.tech = &tech;
-  streamed.lib = &lib;
-  try {
-    lefdef::parseDefStream(input, streamed, so);
-  } catch (const lefdef::ParseError& e) {
-    streamThrew = true;
-    streamErr = e.diag.format();
-  } catch (const std::exception& e) {
-    return {true,
-            std::string("strict parseDefStream threw a non-ParseError: ") +
-                e.what()};
-  }
-  if (legacyThrew != streamThrew) {
-    return {true, std::string("strict outcome diverged: legacy ") +
-                      (legacyThrew ? "threw" : "succeeded") +
-                      ", streamed " + (streamThrew ? "threw" : "succeeded")};
-  }
-  if (legacyThrew && legacyErr != streamErr) {
-    return {true,
-            "strict first error diverged: " + streamErr + " vs " + legacyErr};
-  }
-  if (!legacyThrew &&
-      db::designFingerprint(legacy) != db::designFingerprint(streamed)) {
-    return {true, "strict streamed design diverged from legacy"};
+  for (const bool recover : {true, false}) {
+    Outcome one;
+    Outcome many;
+    Violation v = parse("one-chunk parse", whole, recover, one);
+    if (v.failed) return v;
+    v = parse("chunked parse", chunked, recover, many);
+    if (v.failed) return v;
+    if (one.threw != many.threw || one.text != many.text) {
+      return {true, std::string(recover ? "recovery" : "strict") +
+                        " chunked outcome diverged:\n" + many.text +
+                        "\nvs one-chunk:\n" + one.text};
+    }
   }
   return {};
 }

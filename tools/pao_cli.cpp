@@ -13,30 +13,36 @@
 //
 // analyze options:
 //   --mode bca|nobca|legacy    flow preset (default bca)
-//   --threads N                Steps 1-2 worker threads (default 1, 0=auto)
+//   --threads N                worker threads for DEF ingest and the oracle
+//                              (default 1, 0=auto, at most 256); results
+//                              are identical for any value
 //   --report-failed N          print up to N failed-pin diagnostics
 //   --cache-in <file>          preload the access cache (exit 1 on a
 //                              fingerprint mismatch)
 //   --cache-out <file>         save the access cache after the run
 //   --report-json <file|->     write a pao-report/1 JSON document
 //   --trace-out <file>         write a Chrome/Perfetto trace of the run
-//   --profile-out <file|->     write a pao-report/2 document whose
-//                              "profile" section is the oracle pipeline's
-//                              job-graph profile (critical path, headroom,
-//                              per-worker utilization); with --trace-out
-//                              the trace additionally gains per-worker job
-//                              tracks with dependency flow arrows
-//                              (PAO_OBS=ON builds only)
+//   --profile-out <file|->     write a pao-report/2 document with this
+//                              run's machine-valued figures: "profile" is
+//                              the oracle pipeline's job-graph profile
+//                              (critical path, headroom, per-worker
+//                              utilization), "ingest" the LEF/DEF ingest
+//                              (bytes, chunks, MB/s, insts/s, peak RSS);
+//                              with --trace-out the trace additionally
+//                              gains per-worker job tracks with dependency
+//                              flow arrows (PAO_OBS=ON builds only)
 // route options:
 //   --out <file.def>           write the routed design as DEF
-//   --threads N                worker threads for oracle, access planning
-//                              and batch DRC (default 1, 0=auto); routed
-//                              output is identical for any value
+//   --threads N                worker threads for DEF ingest, oracle,
+//                              access planning and batch DRC (default 1,
+//                              0=auto, at most 256); routed output is
+//                              identical for any value
 //   --cache-in / --cache-out   as for analyze
 //   --report-json / --trace-out  as for analyze
 // bench-incremental options:
 //   --moves K                  number of random instance moves (default 8)
-//   --threads N                worker threads (default 1, 0=auto)
+//   --threads N                worker threads (default 1, 0=auto, at most
+//                              256)
 //   --seed S                   RNG seed (default 1)
 //   --report-json / --trace-out  as for analyze
 //
@@ -58,9 +64,11 @@
 //   0  success
 //   1  quality failure (failed pins, report/trace write error, rejected
 //      cache in strict mode)
-//   2  usage error or malformed --faults/PAO_FAULTS spec
+//   2  usage error (including a --threads value that is not an integer in
+//      [0, 256]) or malformed --faults/PAO_FAULTS spec
 //   3  invalid input / fatal error (parse error in strict mode, unreadable
-//      file, injected fault escaping in strict mode) — never an abort
+//      file, unwritable `gen` output, injected fault escaping in strict
+//      mode) — never an abort
 //   4  run completed but degraded (nonempty "degraded" section; takes
 //      precedence over 1)
 #include <algorithm>
@@ -83,7 +91,6 @@
 #include "lefdef/def_writer.hpp"
 #include "lefdef/lef_parser.hpp"
 #include "lefdef/lef_writer.hpp"
-#include "lefdef/stream.hpp"
 #include "obs/enabled.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -95,6 +102,7 @@
 #include "pao/session.hpp"
 #include "router/router.hpp"
 #include "util/cpu_time.hpp"
+#include "util/executor.hpp"
 #include "util/fault.hpp"
 
 namespace {
@@ -107,7 +115,7 @@ int usage() {
       "usage:\n"
       "  pao_cli gen <preset> <scale> <out-prefix>   (preset 0-9, a, m, h)\n"
       "  pao_cli analyze <lef> <def> [--mode bca|nobca|legacy] [--threads N]"
-      " [--stream] [--report-failed N] [--cache-in f] [--cache-out f]"
+      " [--report-failed N] [--cache-in f] [--cache-out f]"
       " [--report-json f|-] [--trace-out f] [--profile-out f|-]"
       " [--strict|--keep-going] [--step3-budget S] [--faults SPEC]\n"
       "  pao_cli route <lef> <def> [--out routed.def] [--threads N]"
@@ -119,10 +127,20 @@ int usage() {
   return 2;
 }
 
-/// Reads `path`, or throws (caught in main → exit 3). `faultPoint` names the
-/// injection point guarding this read: "lef.io", "def.io" or "cache.io".
-std::string slurp(const char* path, const char* faultPoint) {
-  PAO_FAULT_INJECT(faultPoint);
+/// Parses a --threads value into `out`; prints and returns false when it is
+/// not an integer in [0, util::kMaxThreads] (the caller exits 2 before any
+/// work starts).
+bool parseThreadsFlag(const char* value, int& out) {
+  if (util::parseThreadCount(value, out)) return true;
+  std::fprintf(stderr, "--threads: expected an integer in [0, %d], got '%s'\n",
+               util::kMaxThreads, value);
+  return false;
+}
+
+/// Reads a cache file, or throws (caught in main → exit 3) behind the
+/// "cache.io" fault point.
+std::string slurpCache(const char* path) {
+  PAO_FAULT_INJECT("cache.io");
   std::ifstream f(path);
   if (!f) {
     throw std::runtime_error(std::string("cannot open ") + path);
@@ -280,13 +298,13 @@ struct ObsOutputs {
 };
 
 #if PAO_OBS_ENABLED
-/// Writes a pao-report/2 document whose "profile" section is the job-graph
-/// profile of the oracle pipeline (--profile-out). A separate file from
-/// --report-json so that document stays schema v1 and byte-comparable
-/// across thread counts. Returns false (after printing to stderr) when the
-/// pipeline graph never ran or on validation/I/O failure.
+/// Writes the --profile-out document (schema pao-report/2): the job-graph
+/// profile of the oracle pipeline plus the run's ingest figures. A separate
+/// file from --report-json so that document stays schema v1 and
+/// byte-comparable across thread counts. Returns false (after printing to
+/// stderr) when the pipeline graph never ran or on validation/I/O failure.
 bool writeProfileReport(const char* path, const obs::GraphProfile& gp,
-                        obs::Json config) {
+                        obs::Json config, const core::IngestReport& ingest) {
   if (gp.empty()) {
     std::fprintf(stderr,
                  "profile: no pipeline job graph ran (legacy mode or empty "
@@ -297,6 +315,7 @@ bool writeProfileReport(const char* path, const obs::GraphProfile& gp,
   report.doc().set("schema", obs::Json(obs::kReportSchemaV2));
   report.section("config") = std::move(config);
   report.section("profile") = obs::profileSectionJson(gp);
+  report.section("ingest") = core::ingestSectionJson(ingest);
   std::string error;
   if (!obs::validateReport(report.doc(), &error)) {
     std::fprintf(stderr,
@@ -324,7 +343,7 @@ void loadCacheFile(core::AccessCache& cache, const char* path,
   std::string error;
   try {
     const std::size_t n =
-        cache.load(slurp(path, "cache.io"), ld.tech, ld.lib, &error);
+        cache.load(slurpCache(path), ld.tech, ld.lib, &error);
     if (error.empty()) {
       std::fprintf(stderr, "cache: loaded %zu entries from %s\n", n, path);
       return;
@@ -359,40 +378,16 @@ void reportCache(const core::AccessCache& cache) {
                cache.size(), cache.hits(), cache.misses());
 }
 
-/// Parses the LEF/DEF pair. Diagnostics carry the real file names; in
-/// keep-going mode parse errors are printed, recorded as "parse_error"
-/// degradation events, and the parsers resync and continue — in strict mode
-/// the first error throws ParseError (caught in main → exit 3).
-void load(LoadedDesign& ld, const char* lefPath, const char* defPath,
-          RobustOpts& rob) {
-  lefdef::ParseOptions lefOpts;
-  lefOpts.file = lefPath;
-  lefOpts.recover = rob.keepGoing;
-  reportDiags(
-      lefdef::parseLef(slurp(lefPath, "lef.io"), ld.tech, ld.lib, lefOpts),
-      rob);
-  ld.design.tech = &ld.tech;
-  ld.design.lib = &ld.lib;
-  lefdef::ParseOptions defOpts;
-  defOpts.file = defPath;
-  defOpts.recover = rob.keepGoing;
-  reportDiags(lefdef::parseDef(slurp(defPath, "def.io"), ld.design, defOpts),
-              rob);
-  std::fprintf(stderr,
-               "loaded '%s': %zu layers, %zu masters, %zu instances, %zu "
-               "nets\n",
-               ld.design.name.c_str(), ld.tech.layers().size(),
-               ld.lib.masters().size(), ld.design.instances.size(),
-               ld.design.nets.size());
-}
-
-/// Streamed variant of load(): mmap-backed single-pass ingest via
-/// lefdef::parseLefFile/parseDefFile (chunked parallel DEF sections). Same
-/// diagnostics/recovery contract and the same "lef.io"/"def.io" fault
-/// points (injected inside the *File forms before the file is opened).
-/// Fills `ir` for the report's "ingest" section.
-void loadStreamed(LoadedDesign& ld, const char* lefPath, const char* defPath,
-                  RobustOpts& rob, int numThreads, core::IngestReport& ir) {
+/// Parses the LEF/DEF pair through the mmap-backed file forms; the DEF's
+/// COMPONENTS/NETS sections parse in entity-aligned chunks on up to
+/// `numThreads` workers, with the same result at any count. Diagnostics
+/// carry the real file names; in keep-going mode parse errors are printed,
+/// recorded as "parse_error" degradation events, and the parsers resync and
+/// continue — in strict mode the first error throws ParseError (caught in
+/// main → exit 3). Returns the run's ingest figures.
+core::IngestReport load(LoadedDesign& ld, const char* lefPath,
+                        const char* defPath, RobustOpts& rob,
+                        int numThreads) {
   lefdef::ParseOptions lefOpts;
   lefOpts.file = lefPath;
   lefOpts.recover = rob.keepGoing;
@@ -409,13 +404,13 @@ void loadStreamed(LoadedDesign& ld, const char* lefPath, const char* defPath,
   lefdef::IngestStats defStats;
   reportDiags(lefdef::parseDefFile(defPath, ld.design, defOpts, &defStats),
               rob);
+  core::IngestReport ir;
   ir.lefBytes = lefStats.bytes;
   ir.defBytes = defStats.bytes;
   ir.chunks = defStats.chunks;
   ir.components = defStats.components;
   ir.nets = defStats.nets;
   ir.mapped = defStats.mapped;
-  ir.legacyFallback = defStats.legacyFallback;
   ir.parseSeconds = defStats.parseSeconds;
   ir.peakRssBytes = util::peakRssBytes();
   const double secs = ir.parseSeconds > 0 ? ir.parseSeconds : 1e-9;
@@ -426,15 +421,15 @@ void loadStreamed(LoadedDesign& ld, const char* lefPath, const char* defPath,
                ld.lib.masters().size(), ld.design.instances.size(),
                ld.design.nets.size());
   std::fprintf(stderr,
-               "  streamed ingest  : %.1f MB in %zu chunks, %.1f MB/s, "
-               "%.0f insts/s, peak RSS %.1f MB%s%s\n",
+               "  ingest           : %.1f MB in %zu chunks, %.1f MB/s, "
+               "%.0f insts/s, peak RSS %.1f MB%s\n",
                static_cast<double>(ir.defBytes) / (1024.0 * 1024.0),
                ir.chunks,
                static_cast<double>(ir.defBytes) / (1024.0 * 1024.0) / secs,
                static_cast<double>(ir.components) / secs,
                static_cast<double>(ir.peakRssBytes) / (1024.0 * 1024.0),
-               ir.mapped ? "" : " (read fallback)",
-               ir.legacyFallback ? " (legacy fallback)" : "");
+               ir.mapped ? "" : " (read fallback)");
+  return ir;
 }
 
 int cmdList() {
@@ -467,6 +462,16 @@ int cmdGen(int argc, char** argv) {
   const std::string which = argv[2];
   const double scale = std::atof(argv[3]);
   const std::string prefix = argv[4];
+  // Closing flushes, so a failed write (unwritable prefix, full disk) shows
+  // in the stream state before anything claims success.
+  const auto closeBoth = [&](std::ofstream& lef, std::ofstream& def) {
+    lef.close();
+    def.close();
+    if (lef && def) return true;
+    std::fprintf(stderr, "cannot write %s.lef / %s.def\n", prefix.c_str(),
+                 prefix.c_str());
+    return false;
+  };
 
   if (which == "h" || which == "huge") {
     // The huge preset streams the DEF straight to disk — the design is
@@ -478,11 +483,7 @@ int cmdGen(int argc, char** argv) {
     std::ofstream def(prefix + ".def");
     const benchgen::HugeCounts counts = benchgen::writeHugeDef(
         hs, scale > 0 ? scale : 1.0, *tl.tech, *tl.lib, def);
-    if (!lef || !def) {
-      std::fprintf(stderr, "cannot write %s.lef / %s.def\n", prefix.c_str(),
-                   prefix.c_str());
-      return 3;
-    }
+    if (!closeBoth(lef, def)) return 3;
     std::fprintf(stderr,
                  "wrote %s.lef / %s.def (%zu instances, %zu nets, %d rows, "
                  "streamed)\n",
@@ -509,6 +510,7 @@ int cmdGen(int argc, char** argv) {
   lef << lefdef::writeLef(*tc.tech, *tc.lib);
   std::ofstream def(prefix + ".def");
   def << lefdef::writeDef(*tc.design);
+  if (!closeBoth(lef, def)) return 3;
   std::fprintf(stderr, "wrote %s.lef / %s.def (%zu instances, %zu nets)\n",
                prefix.c_str(), prefix.c_str(), tc.design->instances.size(),
                tc.design->nets.size());
@@ -526,16 +528,13 @@ int cmdAnalyze(int argc, char** argv) {
   ObsOutputs outputs;
   RobustOpts rob;
   bool badSpec = false;
-  bool stream = false;
   for (int i = 4; i < argc; ++i) {
     if (std::strcmp(argv[i], "--mode") == 0 && i + 1 < argc) {
       mode = argv[++i];
       if (mode == "legacy") cfg = core::legacyConfig();
       if (mode == "nobca") cfg = core::withoutBcaConfig();
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      cfg.numThreads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--stream") == 0) {
-      stream = true;
+      if (!parseThreadsFlag(argv[++i], cfg.numThreads)) return 2;
     } else if (std::strcmp(argv[i], "--report-failed") == 0 && i + 1 < argc) {
       reportFailed = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--cache-in") == 0 && i + 1 < argc) {
@@ -553,12 +552,8 @@ int cmdAnalyze(int argc, char** argv) {
 
   outputs.startTracing();
   LoadedDesign ld;
-  core::IngestReport ingest;
-  if (stream) {
-    loadStreamed(ld, argv[2], argv[3], rob, cfg.numThreads, ingest);
-  } else {
-    load(ld, argv[2], argv[3], rob);
-  }
+  [[maybe_unused]] const core::IngestReport ingest =
+      load(ld, argv[2], argv[3], rob, cfg.numThreads);
 
   core::AccessCache cache;
   if (cacheIn != nullptr || cacheOut != nullptr) cfg.cache = &cache;
@@ -616,14 +611,6 @@ int cmdAnalyze(int argc, char** argv) {
   if (cfg.cache != nullptr) {
     report.section("cache") = core::cacheSectionJson(cache);
   }
-  if (stream) {
-    // "ingest" is a pao-report/2 section; only streamed runs carry it, so
-    // the default analyze report stays v1 and byte-comparable with the
-    // service report (tests/serve_smoke.sh).
-    report.doc().set("schema", obs::Json(obs::kReportSchemaV2));
-    report.section("ingest") = core::ingestSectionJson(ingest);
-  }
-
   int code = failed.failedPins == 0 ? 0 : 1;
   code = finishDegraded(rob, res.degraded, report, code);
   if (outputs.profilePath != nullptr) {
@@ -636,7 +623,8 @@ int cmdAnalyze(int argc, char** argv) {
     }
     if (!writeProfileReport(
             outputs.profilePath, session.lastGraphProfile(),
-            core::analysisConfigJson(mode, cfg.numThreads, cfg.keepGoing)) &&
+            core::analysisConfigJson(mode, cfg.numThreads, cfg.keepGoing),
+            ingest) &&
         code == 0) {
       code = 1;
     }
@@ -662,7 +650,7 @@ int cmdRoute(int argc, char** argv) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       outPath = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      numThreads = std::atoi(argv[++i]);
+      if (!parseThreadsFlag(argv[++i], numThreads)) return 2;
     } else if (std::strcmp(argv[i], "--cache-in") == 0 && i + 1 < argc) {
       cacheIn = argv[++i];
     } else if (std::strcmp(argv[i], "--cache-out") == 0 && i + 1 < argc) {
@@ -677,7 +665,7 @@ int cmdRoute(int argc, char** argv) {
 
   outputs.startTracing();
   LoadedDesign ld;
-  load(ld, argv[2], argv[3], rob);
+  load(ld, argv[2], argv[3], rob, numThreads);
 
   core::OracleConfig oracleCfg = core::withBcaConfig();
   oracleCfg.numThreads = numThreads;
@@ -760,7 +748,7 @@ int cmdBenchIncremental(int argc, char** argv) {
     if (std::strcmp(argv[i], "--moves") == 0 && i + 1 < argc) {
       moves = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      numThreads = std::atoi(argv[++i]);
+      if (!parseThreadsFlag(argv[++i], numThreads)) return 2;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (!outputs.parseFlag(argc, argv, i)) {
@@ -773,7 +761,7 @@ int cmdBenchIncremental(int argc, char** argv) {
   outputs.startTracing();
   LoadedDesign ld;
   RobustOpts rob;  // bench is always strict
-  load(ld, argv[2], argv[3], rob);
+  load(ld, argv[2], argv[3], rob, numThreads);
   if (ld.design.instances.empty()) {
     std::fprintf(stderr, "no instances to move\n");
     return 1;

@@ -9,8 +9,9 @@
 // per loaded tenant; all tenants share one AccessCache.
 //
 // options:
-//   --threads N        oracle worker threads per session (default 1,
-//                      0=auto); results are identical for any value
+//   --threads N        DEF ingest and oracle worker threads per session
+//                      (default 1, 0=auto, at most 256); results are
+//                      identical for any value
 //   --budget N         per-tenant in-flight request budget (default 4);
 //                      over-budget connections are stalled, not dropped
 //   --max-tenants N    resident design limit (default 64)
@@ -28,7 +29,8 @@
 //
 // exit codes:
 //   0  clean shutdown (shutdown command, SIGINT or SIGTERM)
-//   2  usage error or malformed --faults/PAO_FAULTS spec
+//   2  usage error (including a --threads value that is not an integer in
+//      [0, 256]) or malformed --faults/PAO_FAULTS spec
 //   3  fatal startup error (bad socket path, bind/listen failure)
 #include <csignal>
 #include <cstdio>
@@ -37,6 +39,7 @@
 
 #include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "util/executor.hpp"
 #include "util/fault.hpp"
 
 namespace {
@@ -76,7 +79,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
       serverCfg.tcpPort = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      serviceCfg.numThreads = std::atoi(argv[++i]);
+      if (!pao::util::parseThreadCount(argv[++i], serviceCfg.numThreads)) {
+        std::fprintf(stderr, "--threads: expected an integer in [0, %d], "
+                     "got '%s'\n", pao::util::kMaxThreads, argv[i]);
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
       serviceCfg.tenantBudget = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--max-tenants") == 0 && i + 1 < argc) {
