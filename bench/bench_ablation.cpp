@@ -30,7 +30,7 @@ void runRow(const benchgen::Testcase& tc, const char* label,
   }
   std::printf("%-24s | %8zu | %7zu | %8zu/%-8zu | %7.2f\n", label,
               dirty.totalAps, failed.failedPins, validated, patterns,
-              res.totalSeconds());
+              res.wallSeconds);
   std::fflush(stdout);
   rows.push(obs::Json::object()
                 .set("configuration", obs::Json(label))
@@ -38,7 +38,7 @@ void runRow(const benchgen::Testcase& tc, const char* label,
                 .set("failedPins", obs::Json(failed.failedPins))
                 .set("validatedPatterns", obs::Json(validated))
                 .set("patterns", obs::Json(patterns))
-                .set("totalSeconds", obs::Json(res.totalSeconds())));
+                .set("wallSeconds", obs::Json(res.wallSeconds)));
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ int main() {
   const core::FailedPinStats failed =
       core::countFailedPins(*tc.design, access);
   std::printf("pin access: %zu pins, %zu failed, %.3f s\n", failed.totalPins,
-              failed.failedPins, access.totalSeconds());
+              failed.failedPins, access.wallSeconds);
 
   router::AccessSource source(*tc.design, access,
                               router::AccessMode::kPattern);

@@ -1,7 +1,7 @@
 // Versioned machine-readable run report ("schema": "pao-report/1").
 //
 // One document unifies what used to live in ad-hoc structs and free-form
-// prints: per-step oracle timings (cpu + wall), session dirty-cluster
+// prints: oracle timings (per-step cpu + wall), session dirty-cluster
 // stats, cache hit/miss, DRC violation counts, router stats, benchmark
 // results — plus a full metrics-registry snapshot. Producers (pao_cli,
 // bench_common) create a RunReport, fill named sections with arbitrary

@@ -3,7 +3,7 @@
 // https://ui.perfetto.dev or chrome://tracing).
 //
 // Usage:
-//   PAO_TRACE_SCOPE("oracle.step3");
+//   PAO_TRACE_SCOPE("oracle.pipeline");
 //   PAO_TRACE_SCOPE("step3.cluster_dp",
 //                   Json::object().set("cluster", Json(42)));
 //

@@ -11,6 +11,7 @@
 // file boundary.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "db/tech.hpp"
@@ -57,6 +58,29 @@ struct AccessPoint {
   int typeCost() const { return cost(prefType) + cost(nonPrefType); }
 };
 
+/// A planar escape probe: a stub of the layer's default wire width leaving
+/// an access point in one direction.
+struct EscapeStub {
+  AccessDir dir;
+  geom::Rect rect;
+};
+
+/// The four escape stubs (east, west, north, south) that decide planar
+/// access at `loc` on `layer`: two pitches long, or four wire widths when
+/// the layer has no pitch. Step 1 grants a direction when its stub is
+/// DRC-clean; the dirty-AP evaluator re-checks every granted one.
+inline std::array<EscapeStub, 4> escapeStubs(const db::Layer& layer,
+                                             geom::Point loc) {
+  const geom::Coord half = layer.width / 2;
+  const geom::Coord stub = layer.pitch > 0 ? layer.pitch * 2 : layer.width * 4;
+  return {{
+      {kEast, geom::Rect(loc.x, loc.y - half, loc.x + stub, loc.y + half)},
+      {kWest, geom::Rect(loc.x - stub, loc.y - half, loc.x, loc.y + half)},
+      {kNorth, geom::Rect(loc.x - half, loc.y, loc.x + half, loc.y + stub)},
+      {kSouth, geom::Rect(loc.x - half, loc.y - stub, loc.x + half, loc.y)},
+  }};
+}
+
 /// An access pattern (Sec. II-B2): one access point index per signal pin of a
 /// unique instance, mutually DRC-compatible via their primary vias.
 struct AccessPattern {
@@ -66,5 +90,9 @@ struct AccessPattern {
   /// True when post-validation found no DRCs among all primary vias.
   bool validated = false;
 };
+
+/// Edge cost of a DRC-dirty via pair (paper Algorithm 3), shared by the
+/// Step-2 pattern DP and the Step-3 cluster DP.
+constexpr long long kDrcCost = 32768;
 
 }  // namespace pao::core

@@ -125,7 +125,6 @@ bool AccessPointGenerator::validate(AccessPoint& ap, int pinIdx) const {
   const drc::DrcEngine& engine = ctx_->engine();
   const db::Design& design = ctx_->design();
   const int net = ctx_->pinNet(pinIdx);
-  const Layer& layer = design.tech->layer(ap.layer);
 
   // Up-via access: probe every via def rooted on this layer, default first.
   for (const db::ViaDef* via : design.tech->viaDefsFromLayer(ap.layer)) {
@@ -133,24 +132,11 @@ bool AccessPointGenerator::validate(AccessPoint& ap, int pinIdx) const {
   }
   if (!ap.viaIdx.empty()) ap.dirs |= kUp;
 
-  // Planar access: probe an escape stub of the default wire width leaving the
-  // point in each direction.
-  const Coord half = layer.width / 2;
-  const Coord stub = layer.pitch > 0
-                         ? layer.pitch * cfg_.planarStubPitches
-                         : layer.width * 4;
-  const struct {
-    AccessDir dir;
-    Rect r;
-  } probes[] = {
-      {kEast, Rect(ap.loc.x, ap.loc.y - half, ap.loc.x + stub, ap.loc.y + half)},
-      {kWest, Rect(ap.loc.x - stub, ap.loc.y - half, ap.loc.x, ap.loc.y + half)},
-      {kNorth, Rect(ap.loc.x - half, ap.loc.y, ap.loc.x + half, ap.loc.y + stub)},
-      {kSouth, Rect(ap.loc.x - half, ap.loc.y - stub, ap.loc.x + half, ap.loc.y)},
-  };
-  for (const auto& probe : probes) {
-    if (engine.checkWire(probe.r, ap.layer, net).empty()) {
-      ap.dirs |= probe.dir;
+  // Planar access: probe an escape stub leaving the point in each direction.
+  for (const EscapeStub& stub :
+       escapeStubs(design.tech->layer(ap.layer), ap.loc)) {
+    if (engine.checkWire(stub.rect, ap.layer, net).empty()) {
+      ap.dirs |= stub.dir;
     }
   }
 

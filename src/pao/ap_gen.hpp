@@ -23,9 +23,6 @@ struct ApGenConfig {
   /// When true (standard cells), only points with valid up-via access are
   /// kept (paper footnote 1: via access is preferred in advanced nodes).
   bool requireVia = true;
-  /// Length of the escape stub used to probe planar access validity,
-  /// in multiples of the layer pitch.
-  int planarStubPitches = 2;
 };
 
 class AccessPointGenerator {

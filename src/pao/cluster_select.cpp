@@ -82,8 +82,7 @@ ClusterSelector::ClusterSelector(const db::Design& design,
       unique_(&unique),
       classes_(&classes),
       cfg_(cfg),
-      pairEngine_(*design.tech),
-      clusters_(buildClusters(design)) {}
+      pairEngine_(*design.tech) {}
 
 std::vector<ClusterSelector::PlacedAp> ClusterSelector::boundaryAps(
     int inst, int pat, bool rightSide) const {
@@ -350,7 +349,7 @@ void ClusterSelector::selectCluster(const std::vector<int>& cluster,
         if (cost[off[i - 1] + p] >= kInf) continue;
         long long ec = patternCost(active[i], q);
         if (adjacent && !patternsCompatible(instA, p, instB, q)) {
-          ec += cfg_.drcCost;
+          ec += kDrcCost;
         }
         if (cost[off[i - 1] + p] + ec < cost[off[i] + q]) {
           cost[off[i] + q] = cost[off[i - 1] + p] + ec;

@@ -26,7 +26,6 @@
 namespace pao::core {
 
 struct ClusterSelectConfig {
-  long long drcCost = 32768;
   /// Check every pin pair across the boundary instead of only the two facing
   /// boundary pins (ablation; the paper checks boundary pins only).
   bool boundaryPinsOnly = true;
@@ -77,13 +76,11 @@ class ClusterSelector {
   /// Runs the DP of one cluster, writing only its own instances' entries of
   /// `chosen` (safe to run concurrently for instance-disjoint clusters).
   /// Entries already >= 0 are pinned: the DP may only keep them. This is the
-  /// reusable unit OracleSession re-runs for dirty clusters; `cluster` need
-  /// not come from this selector's own clustering.
+  /// reusable unit OracleSession runs for every cluster of its
+  /// buildClusters() structure and re-runs for dirty clusters.
   void selectCluster(const std::vector<int>& cluster,
                      std::vector<int>& chosen);
 
-  /// buildClusters() of the design at construction.
-  const std::vector<std::vector<int>>& clusters() const { return clusters_; }
   /// Pair checks performed, counted deterministically: each unique memo key
   /// contributes its via-clean probe count exactly once — when two workers
   /// race to compute the same uncached pair, only the one whose result is
@@ -149,7 +146,6 @@ class ClusterSelector {
   const std::vector<ClassAccess>* classes_;
   ClusterSelectConfig cfg_;
   drc::DrcEngine pairEngine_;  ///< context-free engine for via-pair checks
-  std::vector<std::vector<int>> clusters_;
   /// Memoized pair compatibility, shared across concurrently-running
   /// clusters; guarded by cacheMu_ (the cached function is pure, so the
   /// access order cannot change any result).

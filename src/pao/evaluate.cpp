@@ -27,26 +27,10 @@ DirtyApStats countDirtyAps(const db::Design& design,
           // Planar-only access (macro pins): re-validate the escape stubs of
           // every claimed direction.
           clean = ap.dirs != 0;
-          const db::Layer& layer = design.tech->layer(ap.layer);
-          const geom::Coord half = layer.width / 2;
-          const geom::Coord stub =
-              layer.pitch > 0 ? layer.pitch * 2 : layer.width * 4;
-          const struct {
-            std::uint8_t dir;
-            geom::Rect r;
-          } probes[] = {
-              {kEast, geom::Rect(ap.loc.x, ap.loc.y - half, ap.loc.x + stub,
-                                 ap.loc.y + half)},
-              {kWest, geom::Rect(ap.loc.x - stub, ap.loc.y - half, ap.loc.x,
-                                 ap.loc.y + half)},
-              {kNorth, geom::Rect(ap.loc.x - half, ap.loc.y, ap.loc.x + half,
-                                  ap.loc.y + stub)},
-              {kSouth, geom::Rect(ap.loc.x - half, ap.loc.y - stub,
-                                  ap.loc.x + half, ap.loc.y)},
-          };
-          for (const auto& probe : probes) {
-            if ((ap.dirs & probe.dir) != 0 &&
-                !ctx.engine().checkWire(probe.r, ap.layer, net).empty()) {
+          for (const EscapeStub& stub :
+               escapeStubs(design.tech->layer(ap.layer), ap.loc)) {
+            if ((ap.dirs & stub.dir) != 0 &&
+                !ctx.engine().checkWire(stub.rect, ap.layer, net).empty()) {
               clean = false;
             }
           }

@@ -21,7 +21,6 @@ OracleConfig withBcaConfig() {
 OracleConfig legacyConfig() {
   OracleConfig cfg;
   cfg.legacyMode = true;
-  cfg.runClusterSelection = false;
   return cfg;
 }
 

@@ -27,12 +27,11 @@ namespace pao::core {
 struct OracleConfig {
   ApGenConfig apGen;
   PatternGenConfig patternGen;
+  /// Step-3 knobs; clusterSelect.budgetSeconds is the cluster DP's
+  /// wall-clock budget (pao_cli --step3-budget).
   ClusterSelectConfig clusterSelect;
   /// TrRte baseline: legacy AP generation, first-AP patterns, no Step 3 DP.
   bool legacyMode = false;
-  /// Run the Step-3 cluster DP (always true in the paper's full flow; with a
-  /// single pattern per class the DP is trivially the identity).
-  bool runClusterSelection = true;
   /// Worker threads for the whole flow (the paper's "support of
   /// multi-threading" future-work item): Steps 1-2 over unique instances and
   /// the Step-3 cluster DP all run as one job graph. Results are identical
@@ -47,11 +46,6 @@ struct OracleConfig {
   /// DegradedEvent instead of aborting the whole run. Off (strict) by
   /// default: the first per-class exception propagates.
   bool keepGoing = false;
-  /// Wall-clock budget for the Step-3 cluster DP in seconds (0 =
-  /// unlimited). On expiry the remaining clusters commit each instance's
-  /// cheapest standalone pattern (see ClusterSelectConfig::budgetSeconds)
-  /// and a "step3_budget" DegradedEvent is recorded.
-  double step3BudgetSeconds = 0;
 };
 
 /// One graceful-degradation event of a keep-going run. Kinds:
@@ -88,34 +82,19 @@ struct OracleResult {
   /// what a fault-free strict run would have produced.
   std::vector<DegradedEvent> degraded;
 
-  /// Step timings. Two clocks are reported per step because they answer
-  /// different questions and diverge under numThreads > 1:
-  ///
-  ///   * step1Seconds/step2Seconds — summed per-class steady_clock time as
-  ///     measured on the worker that analyzed each class. This is
-  ///     "aggregate work" (comparable across thread counts, exceeds elapsed
-  ///     time when parallel) but is NOT strictly CPU time: a preempted
-  ///     worker inflates it.
-  ///   * step1CpuSeconds/step2CpuSeconds/step3CpuSeconds — the same work
-  ///     measured on the per-thread CPU clock (CLOCK_THREAD_CPUTIME_ID),
-  ///     immune to preemption. Use these for "where did the cycles go".
-  ///   * step3Seconds, steps12WallSeconds and wallSeconds — end-to-end wall
-  ///     (elapsed) time of Step 3, of the Steps 1-2 parallel region, and of
-  ///     the whole flow. Use these for "how long did I wait".
-  ///
-  /// The pao-report/1 "oracle" section carries all of them.
-  double step1Seconds = 0;
-  double step2Seconds = 0;
-  double step3Seconds = 0;
-  double wallSeconds = 0;
+  /// Timings, one clock per question:
+  ///   * step1CpuSeconds/step2CpuSeconds/step3CpuSeconds — the step's work
+  ///     on the per-thread CPU clock (CLOCK_THREAD_CPUTIME_ID), summed over
+  ///     classes (Steps 1-2) or cluster DPs (Step 3). Comparable across
+  ///     thread counts and immune to preemption: "where did the cycles go".
+  ///   * wallSeconds — elapsed time of the whole Steps 1-3 build: "how long
+  ///     did I wait". Steps overlap in the job graph, so there is no
+  ///     per-step wall time.
+  /// The pao-report/1 "oracle.timings" object carries these four.
   double step1CpuSeconds = 0;
   double step2CpuSeconds = 0;
   double step3CpuSeconds = 0;
-  /// Wall time of the Steps 1-2 parallel region alone.
-  double steps12WallSeconds = 0;
-  double totalSeconds() const {
-    return step1Seconds + step2Seconds + step3Seconds;
-  }
+  double wallSeconds = 0;
 
   /// Total access points generated across all unique-instance pins
   /// (Table II "Total #APs").
@@ -142,8 +121,7 @@ class PinAccessOracle {
 
 #if PAO_OBS_ENABLED
   /// Profile of the pipeline job graph of the last run() (empty before the
-  /// first run, or when the legacy parallelFor path ran). The benches feed
-  /// this to BenchReport::attachProfile.
+  /// first run). The benches feed this to BenchReport::attachProfile.
   const obs::GraphProfile& lastGraphProfile() const { return graphProfile_; }
 #endif
 

@@ -85,16 +85,16 @@ long long PatternGenerator::edgeCost(int prevPin, int prevAp, int curPin,
     };
     // prev/curr are boundary pins iff they sit at the ends of the order.
     if (prevPin == order_.front() && used(prevPin, prevAp)) {
-      return cfg_.penaltyCost;
+      return kBoundaryPenaltyCost;
     }
     if (curPin == order_.back() && used(curPin, curAp)) {
-      return cfg_.penaltyCost;
+      return kBoundaryPenaltyCost;
     }
   }
-  if (!pairClean(prevPin, prevAp, curPin, curAp)) return cfg_.drcCost;
+  if (!pairClean(prevPin, prevAp, curPin, curAp)) return kDrcCost;
   if (cfg_.historyAware && prevPrevPin >= 0 &&
       !pairClean(prevPrevPin, prevPrevAp, curPin, curAp)) {
-    return cfg_.drcCost;
+    return kDrcCost;
   }
   return apCost(prevPin, prevAp) + apCost(curPin, curAp);
 }
@@ -129,7 +129,7 @@ std::vector<AccessPattern> PatternGenerator::run() {
       if (cfg_.boundaryAware &&
           std::find(usedBoundaryAps_.begin(), usedBoundaryAps_.end(),
                     std::make_pair(order_[0], n)) != usedBoundaryAps_.end()) {
-        c = cfg_.penaltyCost;
+        c = kBoundaryPenaltyCost;
       }
       cost[n] = c;
     }

@@ -26,13 +26,14 @@ struct PatternGenConfig {
   double alpha = 0.3;
   /// Patterns to generate per unique instance (3 with BCA, 1 without).
   int numPatterns = 3;
-  /// Algorithm 3 cost constants.
-  long long drcCost = 32768;
-  long long penaltyCost = 4096;
   /// Ablation switches (both on in the paper's flow).
   bool boundaryAware = true;
   bool historyAware = true;
 };
+
+/// Algorithm 3 cost of reusing a boundary-pin access point an earlier
+/// pattern already took (BCA); the DRC cost is kDrcCost.
+constexpr long long kBoundaryPenaltyCost = 4096;
 
 class PatternGenerator {
  public:

@@ -37,13 +37,9 @@ obs::Json oracleSectionJson(const OracleResult& res) {
   j.set("uniqueInstances", obs::Json(populated));
   j.set("totalAps", obs::Json(res.totalAps()));
   obs::Json timings = obs::Json::object();
-  timings.set("step1WorkerSeconds", obs::Json(res.step1Seconds));
-  timings.set("step2WorkerSeconds", obs::Json(res.step2Seconds));
   timings.set("step1CpuSeconds", obs::Json(res.step1CpuSeconds));
   timings.set("step2CpuSeconds", obs::Json(res.step2CpuSeconds));
   timings.set("step3CpuSeconds", obs::Json(res.step3CpuSeconds));
-  timings.set("steps12WallSeconds", obs::Json(res.steps12WallSeconds));
-  timings.set("step3WallSeconds", obs::Json(res.step3Seconds));
   timings.set("wallSeconds", obs::Json(res.wallSeconds));
   j.set("timings", std::move(timings));
   return j;

@@ -28,8 +28,8 @@ obs::Json designSectionJson(const db::Tech& tech, const db::Library& lib,
 obs::Json analysisConfigJson(const std::string& mode, int threads,
                              bool keepGoing);
 
-/// "oracle" section base: step counts plus both clocks per step (see
-/// OracleResult's timing doc in src/pao/oracle.hpp for the semantics).
+/// "oracle" section base: counts plus the per-step CPU and whole-build wall
+/// timings (see OracleResult's timing doc in src/pao/oracle.hpp).
 /// `uniqueInstances` counts populated classes only: an incremental session
 /// may retain empty (all-members-removed) class slots that a fresh batch
 /// run never creates, and those must not break report equivalence.

@@ -13,18 +13,12 @@
 #include "pao/legacy_ap.hpp"
 #include "pao/pattern_gen.hpp"
 #include "util/cpu_time.hpp"
-#include "util/executor.hpp"
 #include "util/fault.hpp"
 #include "util/jobs.hpp"
 
 namespace pao::core {
 
 namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 /// The TrRte baseline has no pattern stage: every pin just takes its first
 /// access point.
@@ -84,8 +78,6 @@ struct OracleSession::ClassBuildState {
   AccessCache::Key key{};
   geom::Point repOrigin{};
   std::optional<DegradedEvent> event;
-  double step1 = 0;
-  double step2 = 0;
   double cpu1 = 0;
   double cpu2 = 0;
 };
@@ -111,10 +103,8 @@ void OracleSession::fallbackToLegacy(std::size_t c, ClassBuildState& st,
   ClassAccess& ca = classes_[c];
   ca = ClassAccess{};
   try {
-    const auto t1 = std::chrono::steady_clock::now();
     const double cpu1 = util::threadCpuSeconds();
     legacyAccessInto(ca, *st.ctx);
-    st.step1 += secondsSince(t1);
     st.cpu1 += util::threadCpuSeconds() - cpu1;
   } catch (const std::exception& e2) {
     // Even the fallback failed: the class keeps empty access (its pins
@@ -151,7 +141,6 @@ void OracleSession::classStep1(std::size_t c, ClassBuildState& st) {
     // The fault point models "this class's Steps 1-2 analysis blew up";
     // legacyMode has no deeper fallback to degrade to, so it stays strict.
     if (!cfg_.legacyMode) PAO_FAULT_INJECT("oracle.class_access");
-    const auto t1 = std::chrono::steady_clock::now();
     const double cpu1 = util::threadCpuSeconds();
     if (cfg_.legacyMode) {
       legacyAccessInto(ca, *st.ctx);
@@ -163,7 +152,6 @@ void OracleSession::classStep1(std::size_t c, ClassBuildState& st) {
       ca.pinAps = AccessPointGenerator(*st.ctx, apCfg).generateAll();
       st.patternsPending = true;
     }
-    st.step1 = secondsSince(t1);
     st.cpu1 = util::threadCpuSeconds() - cpu1;
   } catch (const std::exception& e) {
     if (!cfg_.keepGoing || cfg_.legacyMode) throw;
@@ -177,12 +165,10 @@ void OracleSession::classStep2(std::size_t c, ClassBuildState& st) {
   if (st.patternsPending) {
     PAO_TRACE_SCOPE("oracle.class_access");
     try {
-      const auto t2 = std::chrono::steady_clock::now();
       const double cpu2 = util::threadCpuSeconds();
       PatternGenerator gen(*st.ctx, ca.pinAps, cfg_.patternGen);
       ca.patterns = gen.run();
       ca.pinOrder = gen.pinOrder();
-      st.step2 = secondsSince(t2);
       st.cpu2 = util::threadCpuSeconds() - cpu2;
     } catch (const std::exception& e) {
       if (!cfg_.keepGoing || cfg_.legacyMode) throw;
@@ -202,8 +188,6 @@ void OracleSession::classStep2(std::size_t c, ClassBuildState& st) {
   }
   if (st.event) degraded_.push_back(std::move(*st.event));
   ++stats_.classBuilds;
-  step1Seconds_ += st.step1;
-  step2Seconds_ += st.step2;
   step1CpuSeconds_ += st.cpu1;
   step2CpuSeconds_ += st.cpu2;
 }
@@ -220,49 +204,19 @@ void OracleSession::buildAll() {
   const std::size_t numClasses = index_.classes().classes.size();
   classes_.assign(numClasses, ClassAccess{});
   classReady_.assign(numClasses, 0);
-
-  if (!cfg_.runClusterSelection) {
-    // No Step-3 DP (legacy / ablation): Steps 1-2 per class, then the
-    // trivial first-pattern selection. Each class writes only its own slot
-    // (step1Seconds_/step2Seconds_ report summed per-class worker time for
-    // every thread count — see OracleResult).
-    {
-      PAO_TRACE_SCOPE("oracle.steps12");
-      util::parallelFor(
-          numClasses, [&](std::size_t c) { computeClassAccess(c); },
-          cfg_.numThreads);
-    }
-    steps12WallSeconds_ = secondsSince(t0);
-    const auto t3 = std::chrono::steady_clock::now();
-    {
-      PAO_TRACE_SCOPE("oracle.step3");
-      trivialSelection();
-    }
-    step3Seconds_ = secondsSince(t3);
-    wallSeconds_ = secondsSince(t0);
-    designRevision_ = design_->revision();
-    return;
-  }
-
-  // The full flow runs as ONE job graph (ROADMAP item 2): each class
-  // contributes a Step-1 node chained to a Step-2 node, and each cluster a
-  // Step-3 DP node depending only on its member classes' Step-2 nodes plus
-  // the same-instance predecessor clusters (clusterDeps). A cluster whose
-  // classes finished early therefore overlaps other classes' Steps 1-2 —
-  // there is no barrier between the phases. Node ids interleave
-  // S1(0),S2(0),S1(1),... so a strict-mode failure still rethrows the
-  // lowest class's exception, like the old per-phase parallelFor did.
-  ClusterSelectConfig csCfg = cfg_.clusterSelect;
-  csCfg.budgetSeconds = cfg_.step3BudgetSeconds;
-  selector_ = std::make_unique<ClusterSelector>(*design_, index_.classes(),
-                                                classes_, csCfg);
-  selector_->armBudget();
   chosen_.assign(design_->instances.size(), -1);
 
+  // The whole flow runs as ONE job graph: each class contributes a Step-1
+  // node chained to a Step-2 node, and — outside legacy mode — each cluster
+  // a Step-3 DP node depending only on its member classes' Step-2 nodes
+  // plus the same-instance predecessor clusters (clusterDeps). A cluster
+  // whose classes finished early therefore overlaps other classes' Steps
+  // 1-2 — there is no barrier between the phases. Node ids interleave
+  // S1(0),S2(0),S1(1),... so a strict-mode failure rethrows the lowest
+  // class's exception.
   std::vector<ClassBuildState> states(numClasses);
   pendingSteps12_.store(numClasses, std::memory_order_relaxed);
   overlapJobs_.store(0, std::memory_order_relaxed);
-  step3Started_.store(false, std::memory_order_relaxed);
 
   util::JobGraph graph;
   std::vector<util::JobId> s2Id(numClasses);
@@ -271,41 +225,40 @@ void OracleSession::buildAll() {
         graph.addJob([this, c, &states] { classStep1(c, states[c]); });
     const util::JobId s1Dep[] = {s1};
     s2Id[c] = graph.addJob(
-        [this, c, &states, t0] {
+        [this, c, &states] {
           classStep2(c, states[c]);
-          if (pendingSteps12_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            steps12WallSeconds_ = secondsSince(t0);
-          }
+          pendingSteps12_.fetch_sub(1, std::memory_order_acq_rel);
         },
         s1Dep);
   }
 
-  const std::vector<std::vector<int>>& clusters = selector_->clusters();
-  const std::vector<std::vector<std::size_t>> cDeps = clusterDeps(clusters);
-  const std::vector<int>& classOf = index_.classes().classOf;
-  std::vector<util::JobId> clusterIds(clusters.size());
-  std::vector<util::JobId> deps;
-  for (std::size_t k = 0; k < clusters.size(); ++k) {
-    deps.clear();
-    for (const int inst : clusters[k]) {
-      const int cls = classOf[inst];
-      if (cls >= 0) deps.push_back(s2Id[static_cast<std::size_t>(cls)]);
+  if (!cfg_.legacyMode) {
+    clusters_ = buildClusters(*design_);
+    selector_ = std::make_unique<ClusterSelector>(
+        *design_, index_.classes(), classes_, cfg_.clusterSelect);
+    selector_->armBudget();
+    const std::vector<std::vector<std::size_t>> cDeps = clusterDeps(clusters_);
+    const std::vector<int>& classOf = index_.classes().classOf;
+    std::vector<util::JobId> clusterIds(clusters_.size());
+    std::vector<util::JobId> deps;
+    for (std::size_t k = 0; k < clusters_.size(); ++k) {
+      deps.clear();
+      for (const int inst : clusters_[k]) {
+        const int cls = classOf[inst];
+        if (cls >= 0) deps.push_back(s2Id[static_cast<std::size_t>(cls)]);
+      }
+      for (const std::size_t d : cDeps[k]) deps.push_back(clusterIds[d]);
+      std::sort(deps.begin(), deps.end());
+      deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+      clusterIds[k] = graph.addJob(
+          [this, k] {
+            if (pendingSteps12_.load(std::memory_order_acquire) > 0) {
+              overlapJobs_.fetch_add(1, std::memory_order_relaxed);
+            }
+            selector_->selectCluster(clusters_[k], chosen_);
+          },
+          deps);
     }
-    for (const std::size_t d : cDeps[k]) deps.push_back(clusterIds[d]);
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-    clusterIds[k] = graph.addJob(
-        [this, k, &clusters] {
-          if (pendingSteps12_.load(std::memory_order_acquire) > 0) {
-            overlapJobs_.fetch_add(1, std::memory_order_relaxed);
-          }
-          bool expected = false;
-          if (step3Started_.compare_exchange_strong(expected, true)) {
-            step3T0_ = std::chrono::steady_clock::now();
-          }
-          selector_->selectCluster(clusters[k], chosen_);
-        },
-        deps);
   }
 
   {
@@ -313,25 +266,24 @@ void OracleSession::buildAll() {
     graph.run(cfg_.numThreads);
   }
 
-  clusters_ = selector_->clusters();
-  stats_.lastClusterCount = clusters.size();
-  stats_.clusterDpRuns = selector_->numDpRuns();
-  stats_.pairChecks = selector_->numPairChecks();
   stats_.graphJobs = graph.stats().jobs;
   stats_.overlapJobs = overlapJobs_.load(std::memory_order_relaxed);
   stats_.graphSteals = graph.stats().steals;
 #if PAO_OBS_ENABLED
   graphProfile_ = graph.profile();
 #endif
-  step3CpuSeconds_ = selector_->dpCpuSeconds();
-  recordBudgetExpiry();
-  // step3Seconds_ spans from the first DP node's start to the end of the
-  // graph — with overlap, "Step-3 wall time" necessarily includes tail
-  // Steps 1-2 work running alongside.
-  step3Seconds_ = step3Started_.load(std::memory_order_relaxed)
-                      ? secondsSince(step3T0_)
-                      : 0.0;
-  wallSeconds_ = secondsSince(t0);
+  if (cfg_.legacyMode) {
+    trivialSelection();
+  } else {
+    stats_.lastClusterCount = clusters_.size();
+    stats_.clusterDpRuns = selector_->numDpRuns();
+    stats_.pairChecks = selector_->numPairChecks();
+    step3CpuSeconds_ = selector_->dpCpuSeconds();
+    recordBudgetExpiry();
+  }
+  wallSeconds_ =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   designRevision_ = design_->revision();
 }
 
@@ -409,7 +361,7 @@ void OracleSession::recomputeAfterMutation(const std::vector<int>& touched) {
   ++stats_.mutations;
   PAO_COUNTER_INC("pao.session.mutations");
   designRevision_ = design_->revision();
-  if (!cfg_.runClusterSelection) {
+  if (cfg_.legacyMode) {
     trivialSelection();
     return;
   }
@@ -544,14 +496,10 @@ OracleResult OracleSession::snapshot() const {
               return std::tie(a.cls, a.kind, a.detail) <
                      std::tie(b.cls, b.kind, b.detail);
             });
-  r.step1Seconds = step1Seconds_;
-  r.step2Seconds = step2Seconds_;
-  r.step3Seconds = step3Seconds_;
-  r.wallSeconds = wallSeconds_;
   r.step1CpuSeconds = step1CpuSeconds_;
   r.step2CpuSeconds = step2CpuSeconds_;
   r.step3CpuSeconds = step3CpuSeconds_;
-  r.steps12WallSeconds = steps12WallSeconds_;
+  r.wallSeconds = wallSeconds_;
   return r;
 }
 

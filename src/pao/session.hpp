@@ -23,7 +23,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -118,8 +117,9 @@ class OracleSession {
 
 #if PAO_OBS_ENABLED
   /// Profile of the most recent pipeline job graph (initial build or
-  /// mutation re-run). Empty when the legacy parallelFor path ran. Feed to
-  /// obs::analyzeProfile / obs::profileSectionJson for the run report.
+  /// mutation re-run). The initial build always runs one graph — in legacy
+  /// mode it holds only the Steps 1-2 nodes. Feed to obs::analyzeProfile /
+  /// obs::profileSectionJson for the run report.
   const obs::GraphProfile& lastGraphProfile() const { return graphProfile_; }
 #endif
 
@@ -151,7 +151,8 @@ class OracleSession {
   /// the DP for dirty clusters only (`touched` = instances whose geometry
   /// or class changed in this mutation).
   void recomputeAfterMutation(const std::vector<int>& touched);
-  /// The no-Step-3 selection (legacy / runClusterSelection == false).
+  /// The no-Step-3 selection of legacy mode: every instance of an analyzed
+  /// class takes its first (only) pattern.
   void trivialSelection();
   /// Appends a "step3_budget" DegradedEvent when the last selection pass
   /// expired its budget.
@@ -174,23 +175,14 @@ class OracleSession {
   std::uint64_t designRevision_ = 0;
   Stats stats_;
   std::vector<DegradedEvent> degraded_;  ///< guarded by cacheMu_ during 1-2
-  double step1Seconds_ = 0;
-  double step2Seconds_ = 0;
-  double step3Seconds_ = 0;
-  double wallSeconds_ = 0;
   double step1CpuSeconds_ = 0;
   double step2CpuSeconds_ = 0;
   double step3CpuSeconds_ = 0;
-  double steps12WallSeconds_ = 0;
+  double wallSeconds_ = 0;
   /// Pipeline-graph bookkeeping for the initial build: Steps 1-2 nodes not
-  /// yet finished (the Step-2 node that drains it stamps
-  /// steps12WallSeconds_), Step-3 nodes that started while it was nonzero,
-  /// and the start time of the first Step-3 node (step3Started_ winner
-  /// writes step3T0_; read after the graph joins).
+  /// yet finished, and Step-3 nodes that started while it was nonzero.
   std::atomic<std::size_t> pendingSteps12_{0};
   std::atomic<std::size_t> overlapJobs_{0};
-  std::atomic<bool> step3Started_{false};
-  std::chrono::steady_clock::time_point step3T0_{};
 #if PAO_OBS_ENABLED
   obs::GraphProfile graphProfile_;
 #endif

@@ -1,6 +1,7 @@
 #include "util/executor.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <thread>
 
@@ -14,11 +15,24 @@ int resolveThreads(int numThreads) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-bool parseThreadCount(const char* text, int& out) {
+bool parseInteger(const char* text, long long lo, long long hi,
+                  long long& out) {
   const char* end = text + std::strlen(text);
-  int value = 0;
+  long long value = 0;
   const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || value < 0 || value > kMaxThreads) {
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return false;
+  }
+  out = value;
+  return true;
+}
+
+bool parseNonNegative(const char* text, double& out) {
+  const char* end = text + std::strlen(text);
+  double value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0) {
     return false;
   }
   out = value;

@@ -30,10 +30,15 @@ int resolveThreads(int numThreads);
 /// front rather than start one thread per job.
 constexpr int kMaxThreads = 256;
 
-/// Parses a `--threads` value: a whole decimal integer in [0, kMaxThreads]
-/// (0 = hardware concurrency). Returns false, leaving `out` untouched, on
-/// anything else (empty, sign, trailing characters, out of range).
-bool parseThreadCount(const char* text, int& out);
+/// Parses a command-line value that must be a whole decimal integer in
+/// [lo, hi]. Returns false, leaving `out` untouched, on anything else
+/// (empty, blanks, trailing characters, out of range).
+bool parseInteger(const char* text, long long lo, long long hi,
+                  long long& out);
+
+/// Parses a command-line value that must be a finite decimal number >= 0
+/// ("2", "0.5", "1e-3"); same failure contract as parseInteger.
+bool parseNonNegative(const char* text, double& out);
 
 /// Invokes fn(i) for every i in [0, n) across up to resolveThreads(numThreads)
 /// workers (the calling thread is one of them). Tasks must be independent;

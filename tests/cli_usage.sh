@@ -6,6 +6,13 @@
 #     before any work starts. Each case also names a missing LEF (pao_cli) or
 #     an unbindable socket (pao_serve), so a regression that accepts the
 #     value fails at startup with exit 3 instead of starting workers.
+#   cli_usage.sh flags <pao_cli> <pao_serve> <workdir>
+#     Every other numeric flag parses whole, and --mode is one of bca, nobca,
+#     legacy: a bad value exits 2 before any work starts, paired with a
+#     missing LEF or an unbindable socket as above. --port cannot be paired
+#     with --socket (the two together are a usage error already), so its
+#     case is recognized by the flag's own stderr line. --mode and --threads
+#     apply in either order.
 #   cli_usage.sh gen <pao_cli> <workdir>
 #     `pao_cli gen` into a prefix it cannot write exits 3 and never prints
 #     "wrote".
@@ -40,6 +47,68 @@ case "$MODE" in
         2>/dev/null
       rc=$?
       [ "$rc" -eq 3 ] || fail "pao_cli analyze --threads $v exited $rc, want 3"
+    done
+    ;;
+  flags)
+    SERVE=$3
+    WORK=$4
+    mkdir -p "$WORK"
+    expect2() {
+      "$@" 2>/dev/null
+      rc=$?
+      [ "$rc" -eq 2 ] || fail "'$*' exited $rc, want 2"
+    }
+    MISSING="/nonexistent/in.lef /nonexistent/in.def"
+    SOCK=/nonexistent/dir/s.sock
+    for v in abc -1 4x 1.5 ' 2' '' 99999999999999999999; do
+      expect2 "$CLI" bench-incremental $MISSING --moves "$v"
+      expect2 "$CLI" bench-incremental $MISSING --seed "$v"
+      expect2 "$CLI" analyze $MISSING --report-failed "$v"
+      expect2 "$SERVE" --socket "$SOCK" --budget "$v"
+      expect2 "$SERVE" --socket "$SOCK" --max-tenants "$v"
+      expect2 "$SERVE" --socket "$SOCK" --slow-micros "$v"
+      err=$("$SERVE" --socket "$SOCK" --port "$v" 2>&1)
+      rc=$?
+      [ "$rc" -eq 2 ] || fail "pao_serve --port '$v' exited $rc, want 2"
+      case "$err" in
+        *--port:*) ;;
+        *) fail "pao_serve --port '$v' did not reject the value: $err" ;;
+      esac
+    done
+    err=$("$SERVE" --socket "$SOCK" --port 65536 2>&1)
+    case "$err" in
+      *--port:*) ;;
+      *) fail "pao_serve --port 65536 did not reject the value: $err" ;;
+    esac
+    for v in abc -1 -0.5 nan inf 1s ''; do
+      expect2 "$CLI" analyze $MISSING --step3-budget "$v"
+      expect2 "$CLI" route $MISSING --step3-budget "$v"
+    done
+    expect2 "$SERVE" --socket "$SOCK" --budget 0
+    expect2 "$SERVE" --socket "$SOCK" --max-tenants 0
+    expect2 "$CLI" analyze $MISSING --mode foo
+    expect2 "$CLI" analyze $MISSING --mode ''
+    # Accepted values get as far as the missing LEF / unbindable socket.
+    "$CLI" analyze $MISSING --step3-budget 0.5 --report-failed 3 2>/dev/null
+    rc=$?
+    [ "$rc" -eq 3 ] || fail "valid analyze flags exited $rc, want 3"
+    "$SERVE" --socket "$SOCK" --budget 1 --max-tenants 1 \
+      --slow-micros 0 2>/dev/null
+    rc=$?
+    [ "$rc" -eq 3 ] || fail "valid pao_serve flags exited $rc, want 3"
+    # --mode must not reset a --threads given before it.
+    "$CLI" gen 0 0.005 "$WORK/case" 2>/dev/null || fail "gen failed"
+    for order in "--threads 4 --mode legacy" "--mode legacy --threads 4"; do
+      rm -f "$WORK/mode.json"
+      # shellcheck disable=SC2086
+      "$CLI" analyze "$WORK/case.lef" "$WORK/case.def" $order \
+        --report-json "$WORK/mode.json" 2>/dev/null
+      rc=$?
+      [ "$rc" -le 1 ] || fail "analyze $order exited $rc"
+      grep -q '"mode": "legacy"' "$WORK/mode.json" ||
+        fail "analyze $order did not run legacy mode"
+      grep -q '"threads": 4' "$WORK/mode.json" ||
+        fail "analyze $order did not run at 4 threads"
     done
     ;;
   gen)

@@ -32,6 +32,29 @@ TEST(ResolveThreads, ZeroAndNegativeMeanHardwareConcurrency) {
   EXPECT_EQ(resolveThreads(-3), hw);
 }
 
+TEST(ParseFlagValues, OnlyWholeValuesInRangeParse) {
+  long long n = -7;
+  EXPECT_TRUE(parseInteger("0", 0, 256, n));
+  EXPECT_EQ(n, 0);
+  EXPECT_TRUE(parseInteger("256", 0, 256, n));
+  EXPECT_EQ(n, 256);
+  for (const char* bad : {"", " 2", "2 ", "4x", "1.5", "abc", "-1", "257",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(parseInteger(bad, 0, 256, n)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(n, 256);  // untouched by the rejected values
+
+  double d = -1;
+  EXPECT_TRUE(parseNonNegative("0.5", d));
+  EXPECT_EQ(d, 0.5);
+  EXPECT_TRUE(parseNonNegative("2", d));
+  EXPECT_EQ(d, 2.0);
+  for (const char* bad : {"", "-0.5", "nan", "inf", "1s", " 1", "abc"}) {
+    EXPECT_FALSE(parseNonNegative(bad, d)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(d, 2.0);
+}
+
 TEST(ParallelFor, ZeroTasksIsANoOp) {
   parallelFor(0, [](std::size_t) { FAIL() << "fn must not run for n == 0"; },
               4);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 
@@ -197,6 +198,35 @@ TEST(OracleSession, SnapshotEqualsBatchByteForByte) {
         EXPECT_EQ(snap.classes[c].pinAps[p][a].loc,
                   batch.classes[c].pinAps[p][a].loc);
       }
+    }
+  }
+}
+
+TEST(OracleSession, LegacyModeRunsTheSameJobGraph) {
+  // Legacy mode has no Step-3 DP but builds through the same job graph as
+  // the full flow, minus the cluster nodes: one Step-1 and one Step-2 node
+  // per class, then the first-AP selection, identical at any thread count.
+  const benchgen::Testcase tc = smallCase();
+  const db::Design& design = *tc.design;
+  std::vector<int> serialChosen;
+  for (const int threads : {1, 4, 0}) {
+    OracleConfig cfg = legacyConfig();
+    cfg.numThreads = threads;
+    const OracleSession session(design, cfg);
+    const std::size_t numClasses = session.unique().classes.size();
+    ASSERT_GT(numClasses, 0u);
+    EXPECT_EQ(session.stats().graphJobs, 2 * numClasses) << threads;
+    EXPECT_EQ(session.stats().lastClusterCount, 0u) << threads;
+    EXPECT_EQ(session.stats().clusterDpRuns, 0u) << threads;
+#if PAO_OBS_ENABLED
+    EXPECT_EQ(session.lastGraphProfile().nodes.size(), 2 * numClasses)
+        << threads;
+#endif
+    if (threads == 1) {
+      serialChosen = session.chosenPattern();
+      EXPECT_NE(std::count(serialChosen.begin(), serialChosen.end(), 0), 0);
+    } else {
+      EXPECT_EQ(session.chosenPattern(), serialChosen) << threads;
     }
   }
 }

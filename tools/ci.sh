@@ -14,7 +14,8 @@
 #                      nesting, and threads-1-vs-4 report equivalence; plus
 #                      the profile smoke: analyze --profile-out on the mixed
 #                      preset at --threads 4 must emit a valid pao-report/2
-#                      whose headroom exceeds 1)
+#                      whose headroom exceeds 1, and the same run in legacy
+#                      mode must emit a valid one too)
 #   4. Scale smoke    (huge-preset gen -> analyze --profile-out -> report_check
 #                      ingest -> bench_scale self-checks; PAO_CI_SCALE=1
 #                      for the full ~1.5M-instance acceptance run)
@@ -119,6 +120,13 @@ PROF_HEADROOM=$("$BI_DIR/tools/report_check" profile "$BI_DIR/ci_prof_p.json" \
   2>&1 | sed -n 's/^ *headroom *: *\([0-9.][0-9.]*\).*/\1/p')
 echo "profile headroom: ${PROF_HEADROOM:-missing}"
 awk "BEGIN { exit !(${PROF_HEADROOM:-0} > 1.0) }"
+# Legacy mode runs the same job graph (Steps 1-2 nodes only), so its
+# profile must validate too; no headroom gate (it exits 1 on failed pins).
+rc=0
+"$BI_DIR/tools/pao_cli" analyze "$BI_DIR/ci_prof.lef" "$BI_DIR/ci_prof.def" \
+  --mode legacy --threads 4 --profile-out "$BI_DIR/ci_prof_legacy.json" || rc=$?
+[ "$rc" -le 1 ] || { echo "FAIL: legacy analyze exited $rc"; exit 1; }
+"$BI_DIR/tools/report_check" profile "$BI_DIR/ci_prof_legacy.json"
 
 echo "== Scale smoke (streaming ingest) =="
 # ROADMAP item 3 acceptance path at CI-friendly size: stream-generate a

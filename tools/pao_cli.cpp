@@ -64,8 +64,11 @@
 //   0  success
 //   1  quality failure (failed pins, report/trace write error, rejected
 //      cache in strict mode)
-//   2  usage error (including a --threads value that is not an integer in
-//      [0, 256]) or malformed --faults/PAO_FAULTS spec
+//   2  usage error, checked before any work starts: an unknown --mode, a
+//      --threads value that is not an integer in [0, 256], a --moves /
+//      --seed / --report-failed value that is not a whole non-negative
+//      integer, a --step3-budget that is not a number >= 0, or a malformed
+//      --faults/PAO_FAULTS spec
 //   3  invalid input / fatal error (parse error in strict mode, unreadable
 //      file, unwritable `gen` output, injected fault escaping in strict
 //      mode) — never an abort
@@ -78,6 +81,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -86,6 +90,7 @@
 #include "benchgen/huge.hpp"
 #include "benchgen/testcase.hpp"
 #include "db/legality.hpp"
+#include "flag_values.hpp"
 #include "lefdef/def_parser.hpp"
 #include "lefdef/def_route_writer.hpp"
 #include "lefdef/def_writer.hpp"
@@ -109,6 +114,8 @@ namespace {
 
 using namespace pao;
 
+using tools::kIntMax;
+
 int usage() {
   std::fprintf(
       stderr,
@@ -127,14 +134,9 @@ int usage() {
   return 2;
 }
 
-/// Parses a --threads value into `out`; prints and returns false when it is
-/// not an integer in [0, util::kMaxThreads] (the caller exits 2 before any
-/// work starts).
+/// Parses a --threads value (0 = hardware concurrency) into `out`.
 bool parseThreadsFlag(const char* value, int& out) {
-  if (util::parseThreadCount(value, out)) return true;
-  std::fprintf(stderr, "--threads: expected an integer in [0, %d], got '%s'\n",
-               util::kMaxThreads, value);
-  return false;
+  return tools::parseIntFlag("--threads", value, 0, util::kMaxThreads, out);
 }
 
 /// Reads a cache file, or throws (caught in main → exit 3) behind the
@@ -158,7 +160,7 @@ struct RobustOpts {
   std::vector<core::DegradedEvent> preOracle;
 
   /// Returns true when argv[i] was one of ours; sets `bad` (exit 2) on a
-  /// malformed --faults spec.
+  /// malformed --step3-budget value or --faults spec.
   bool parseFlag(int argc, char** argv, int& i, bool& bad) {
     if (std::strcmp(argv[i], "--strict") == 0) {
       keepGoing = false;
@@ -169,7 +171,10 @@ struct RobustOpts {
       return true;
     }
     if (std::strcmp(argv[i], "--step3-budget") == 0 && i + 1 < argc) {
-      step3Budget = std::atof(argv[++i]);
+      if (!tools::parseNonNegativeFlag("--step3-budget", argv[++i],
+                                       step3Budget)) {
+        bad = true;
+      }
       return true;
     }
     if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
@@ -185,7 +190,7 @@ struct RobustOpts {
 
   void apply(core::OracleConfig& cfg) const {
     cfg.keepGoing = keepGoing;
-    cfg.step3BudgetSeconds = step3Budget;
+    cfg.clusterSelect.budgetSeconds = step3Budget;
   }
 };
 
@@ -307,8 +312,8 @@ bool writeProfileReport(const char* path, const obs::GraphProfile& gp,
                         obs::Json config, const core::IngestReport& ingest) {
   if (gp.empty()) {
     std::fprintf(stderr,
-                 "profile: no pipeline job graph ran (legacy mode or empty "
-                 "design); nothing to write\n");
+                 "profile: no pipeline job graph ran (empty design); nothing "
+                 "to write\n");
     return false;
   }
   obs::RunReport report("pao_cli analyze");
@@ -520,8 +525,8 @@ int cmdGen(int argc, char** argv) {
 int cmdAnalyze(int argc, char** argv) {
   if (argc < 4) return usage();
 
-  core::OracleConfig cfg = core::withBcaConfig();
   std::string mode = "bca";
+  int numThreads = 1;
   std::size_t reportFailed = 0;
   const char* cacheIn = nullptr;
   const char* cacheOut = nullptr;
@@ -531,12 +536,13 @@ int cmdAnalyze(int argc, char** argv) {
   for (int i = 4; i < argc; ++i) {
     if (std::strcmp(argv[i], "--mode") == 0 && i + 1 < argc) {
       mode = argv[++i];
-      if (mode == "legacy") cfg = core::legacyConfig();
-      if (mode == "nobca") cfg = core::withoutBcaConfig();
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!parseThreadsFlag(argv[++i], cfg.numThreads)) return 2;
+      if (!parseThreadsFlag(argv[++i], numThreads)) return 2;
     } else if (std::strcmp(argv[i], "--report-failed") == 0 && i + 1 < argc) {
-      reportFailed = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!tools::parseIntFlag("--report-failed", argv[++i], 0, kIntMax,
+                               reportFailed)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--cache-in") == 0 && i + 1 < argc) {
       cacheIn = argv[++i];
     } else if (std::strcmp(argv[i], "--cache-out") == 0 && i + 1 < argc) {
@@ -548,6 +554,20 @@ int cmdAnalyze(int argc, char** argv) {
       return usage();
     }
   }
+  // The preset comes first so --mode never resets flags given before it.
+  core::OracleConfig cfg;
+  if (mode == "bca") {
+    cfg = core::withBcaConfig();
+  } else if (mode == "nobca") {
+    cfg = core::withoutBcaConfig();
+  } else if (mode == "legacy") {
+    cfg = core::legacyConfig();
+  } else {
+    std::fprintf(stderr, "--mode: expected bca, nobca or legacy, got '%s'\n",
+                 mode.c_str());
+    return 2;
+  }
+  cfg.numThreads = numThreads;
   rob.apply(cfg);
 
   outputs.startTracing();
@@ -586,10 +606,10 @@ int cmdAnalyze(int argc, char** argv) {
   std::fprintf(stderr, "  failed pins      : %zu / %zu\n", failed.failedPins,
                failed.totalPins);
   std::fprintf(stderr,
-               "  runtime          : %.2f s wall (steps %.2f / %.2f / "
-               "%.2f)\n",
-               res.wallSeconds, res.step1Seconds, res.step2Seconds,
-               res.step3Seconds);
+               "  runtime          : %.2f s wall (step cpu %.2f / %.2f / "
+               "%.2f s)\n",
+               res.wallSeconds, res.step1CpuSeconds, res.step2CpuSeconds,
+               res.step3CpuSeconds);
   if (cfg.cache != nullptr) reportCache(cache);
   if (cacheOut != nullptr) saveCacheFile(cache, cacheOut, ld);
   for (const core::FailedPinDetail& d : failed.details) {
@@ -746,11 +766,16 @@ int cmdBenchIncremental(int argc, char** argv) {
   ObsOutputs outputs;
   for (int i = 4; i < argc; ++i) {
     if (std::strcmp(argv[i], "--moves") == 0 && i + 1 < argc) {
-      moves = std::atoi(argv[++i]);
+      if (!tools::parseIntFlag("--moves", argv[++i], 0, kIntMax, moves)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       if (!parseThreadsFlag(argv[++i], numThreads)) return 2;
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      if (!tools::parseIntFlag("--seed", argv[++i], 0,
+                               std::numeric_limits<long long>::max(), seed)) {
+        return 2;
+      }
     } else if (!outputs.parseFlag(argc, argv, i)) {
       std::fprintf(stderr, "unknown bench-incremental option '%s'\n",
                    argv[i]);

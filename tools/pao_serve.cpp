@@ -29,20 +29,27 @@
 //
 // exit codes:
 //   0  clean shutdown (shutdown command, SIGINT or SIGTERM)
-//   2  usage error (including a --threads value that is not an integer in
-//      [0, 256]) or malformed --faults/PAO_FAULTS spec
+//   2  usage error, checked before binding: a --threads value that is not
+//      an integer in [0, 256], a --port outside [0, 65535], a --budget or
+//      --max-tenants that is not a whole integer >= 1, a --slow-micros that
+//      is not a whole integer >= 0, or a malformed --faults/PAO_FAULTS spec
 //   3  fatal startup error (bad socket path, bind/listen failure)
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
+#include "flag_values.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "util/executor.hpp"
 #include "util/fault.hpp"
 
 namespace {
+
+using pao::tools::kIntMax;
+using pao::tools::parseIntFlag;
 
 pao::serve::Server* g_server = nullptr;
 
@@ -77,22 +84,32 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
       serverCfg.unixSocketPath = argv[++i];
     } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      serverCfg.tcpPort = std::atoi(argv[++i]);
+      if (!parseIntFlag("--port", argv[++i], 0, 65535, serverCfg.tcpPort)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!pao::util::parseThreadCount(argv[++i], serviceCfg.numThreads)) {
-        std::fprintf(stderr, "--threads: expected an integer in [0, %d], "
-                     "got '%s'\n", pao::util::kMaxThreads, argv[i]);
+      if (!parseIntFlag("--threads", argv[++i], 0, pao::util::kMaxThreads,
+                        serviceCfg.numThreads)) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      serviceCfg.tenantBudget = std::atoi(argv[++i]);
+      if (!parseIntFlag("--budget", argv[++i], 1, kIntMax,
+                        serviceCfg.tenantBudget)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--max-tenants") == 0 && i + 1 < argc) {
-      serviceCfg.maxTenants =
-          static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!parseIntFlag("--max-tenants", argv[++i], 1, kIntMax,
+                        serviceCfg.maxTenants)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--deterministic") == 0) {
       serviceCfg.deterministic = true;
     } else if (std::strcmp(argv[i], "--slow-micros") == 0 && i + 1 < argc) {
-      serviceCfg.slowRequestMicros = std::atoll(argv[++i]);
+      if (!parseIntFlag("--slow-micros", argv[++i], 0,
+                        std::numeric_limits<long long>::max(),
+                        serviceCfg.slowRequestMicros)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc) {
       std::string error;
       if (!pao::util::FaultRegistry::instance().configure(argv[++i],
