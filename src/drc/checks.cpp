@@ -34,13 +34,13 @@ std::optional<Violation> checkSpacingPair(const db::Layer& layer,
 }
 
 std::vector<Violation> checkMinStep(const db::Layer& layer,
-                                    const std::vector<Rect>& component) {
+                                    const std::vector<BoundaryRing>& rings) {
   std::vector<Violation> out;
   if (!layer.minStep) return out;
   const Coord minLen = layer.minStep->minStepLength;
   const int maxEdges = layer.minStep->maxEdges;
 
-  for (const BoundaryRing& ring : geom::unionBoundary(component)) {
+  for (const BoundaryRing& ring : rings) {
     const int n = static_cast<int>(ring.size());
     if (n == 0) continue;
     // Rotate the scan to start right after a long edge so runs never wrap.
@@ -113,13 +113,13 @@ Rect eolRegion(const BoundaryEdge& e, Coord space, Coord within) {
 }  // namespace
 
 std::vector<Violation> checkEol(const db::Layer& layer,
-                                const std::vector<Rect>& component,
-                                int selfNet, const RegionQuery& context) {
+                                const std::vector<BoundaryRing>& rings,
+                                int selfNet, std::span<const Shape> context) {
   std::vector<Violation> out;
   if (!layer.eol) return out;
   const db::EolRule rule = *layer.eol;
 
-  for (const BoundaryRing& ring : geom::unionBoundary(component)) {
+  for (const BoundaryRing& ring : rings) {
     const int n = static_cast<int>(ring.size());
     for (int i = 0; i < n; ++i) {
       const BoundaryEdge& e = ring[i];
@@ -128,12 +128,12 @@ std::vector<Violation> checkEol(const db::Layer& layer,
       const BoundaryEdge& next = ring[(i + 1) % n];
       if (!leftTurn(prev, e) || !leftTurn(e, next)) continue;  // not a line end
       const Rect region = eolRegion(e, rule.space, rule.within);
-      bool hit = false;
-      context.query(layer.index, region, [&](const Shape& s) {
-        if (hit) return;
-        if (s.net == selfNet && s.net != Shape::kObsNet) return;
-        if (s.rect.overlaps(region)) hit = true;
-      });
+      const bool hit =
+          std::any_of(context.begin(), context.end(), [&](const Shape& s) {
+            return s.layer == layer.index &&
+                   (s.net != selfNet || s.net == Shape::kObsNet) &&
+                   s.rect.overlaps(region);
+          });
       if (hit) {
         out.push_back({RuleKind::kEndOfLine, layer.index, region, selfNet,
                        Shape::kObsNet});

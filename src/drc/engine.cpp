@@ -21,92 +21,166 @@ using geom::Rect;
 DrcEngine::DrcEngine(const db::Tech& tech)
     : tech_(&tech), region_(static_cast<int>(tech.layers().size())) {}
 
+void DrcWork::publish() {
+  if (viaChecks == 0) return;
+  PAO_COUNTER_ADD("pao.drc.via_checks", viaChecks);
+  PAO_COUNTER_ADD("pao.drc.metal_rect_checks", metalRectChecks);
+  PAO_COUNTER_ADD("pao.drc.union_boundary_calls", unionBoundaryCalls);
+  *this = DrcWork{};
+}
+
 std::vector<Shape> DrcEngine::viaShapes(const db::ViaDef& via, Point p,
-                                        int net, bool fixed) const {
+                                        int net) const {
   std::vector<Shape> out;
-  out.push_back({via.botEncAt(p), via.botLayer, net, ShapeKind::kVia, fixed});
-  out.push_back({via.cutAt(p), via.cutLayer, net, ShapeKind::kVia, fixed});
-  out.push_back({via.topEncAt(p), via.topLayer, net, ShapeKind::kVia, fixed});
+  appendViaShapes(via, p, net, out);
   return out;
 }
 
-std::vector<geom::Rect> DrcEngine::mergedComponent(
-    const Rect& seed, int layer, int net, std::span<const Shape> extra) const {
-  std::vector<Rect> comp{seed};
-  std::deque<Rect> frontier{seed};
+void DrcEngine::appendViaShapes(const db::ViaDef& via, Point p, int net,
+                                std::vector<Shape>& out) const {
+  out.push_back({via.botEncAt(p), via.botLayer, net, ShapeKind::kVia, false});
+  out.push_back({via.cutAt(p), via.cutLayer, net, ShapeKind::kVia, false});
+  out.push_back({via.topEncAt(p), via.topLayer, net, ShapeKind::kVia, false});
+}
+
+void DrcEngine::mergedComponent(const Rect& seed, int layer, int net,
+                                std::span<const Shape> extra,
+                                std::vector<Rect>& comp) const {
+  comp.assign(1, seed);
   const auto absorbed = [&](const Rect& r) {
     return std::find(comp.begin(), comp.end(), r) != comp.end();
   };
-  // Bounded flood fill over touching same-net shapes. The bound keeps the
-  // incremental check local; standard-cell pins have few rects.
+  // Bounded breadth-first flood fill over touching same-net shapes; `comp`
+  // doubles as the queue (entries past `next` are still to expand). The
+  // bound keeps the incremental check local; standard-cell pins have few
+  // rects.
   constexpr std::size_t kMaxComponent = 64;
-  while (!frontier.empty() && comp.size() < kMaxComponent) {
-    const Rect cur = frontier.front();
-    frontier.pop_front();
+  for (std::size_t next = 0;
+       next < comp.size() && comp.size() < kMaxComponent; ++next) {
+    const Rect cur = comp[next];
     queryWithExtra(layer, cur, extra, [&](const Shape& s) {
       if (s.net != net || comp.size() >= kMaxComponent) return;
       if (!s.rect.intersects(cur) || absorbed(s.rect)) return;
       comp.push_back(s.rect);
-      frontier.push_back(s.rect);
     });
   }
-  return comp;
+}
+
+namespace {
+
+/// conflicting() against a candidate shape of net `net`.
+bool conflictsWith(int net, const Shape& s) {
+  return net == Shape::kObsNet || s.net == Shape::kObsNet || s.net != net;
+}
+
+/// The window around a via enclosure within which merged-component
+/// violations are attributed to the via — a long pin bar may carry
+/// pre-existing artifacts far away that the via did not cause.
+Rect viaVicinity(const db::Layer& layer, const Rect& enc) {
+  return enc.bloat(maxSpacingHalo(layer) +
+                   (layer.minStep ? layer.minStep->minStepLength : 0));
+}
+
+}  // namespace
+
+void DrcEngine::gatherVia(const db::ViaDef& via, Point p, int net,
+                          std::span<const Shape> extra,
+                          ViaContext& ctx) const {
+  ctx.via = &via;
+  ctx.at = p;
+  ctx.net = net;
+  const auto gatherMetal = [&](ViaContext::Metal& m, const Rect& enc,
+                               int layerIdx) {
+    const db::Layer& layer = tech_->layer(layerIdx);
+    const Coord halo = maxSpacingHalo(layer);
+    m.layer = layerIdx;
+    m.enc = enc;
+    m.spacing.clear();
+    queryWithExtra(layerIdx, enc.bloat(halo), extra, [&](const Shape& s) {
+      if (conflictsWith(net, s)) m.spacing.push_back(s);
+    });
+    mergedComponent(enc, layerIdx, net, extra, m.comp);
+    m.eol.clear();
+    if (!layer.eol) return;
+    // An EOL region lies within the halo of the component, and the judge
+    // keeps only regions touching the via's vicinity; a region spans less
+    // than eolWidth + 2 * within along its edge and `space` across it, so no
+    // shape beyond `reach` can overlap a kept region.
+    Rect compBox;
+    for (const Rect& r : m.comp) compBox = compBox.merge(r);
+    const db::EolRule& rule = *layer.eol;
+    const Rect reach = viaVicinity(layer, enc).bloat(
+        rule.eolWidth + 2 * rule.within + rule.space);
+    queryWithExtra(layerIdx, compBox.bloat(halo).intersect(reach), extra,
+                   [&](const Shape& s) {
+                     if (conflictsWith(net, s)) m.eol.push_back(s);
+                   });
+  };
+  gatherMetal(ctx.metal[0], via.botEncAt(p), via.botLayer);
+  gatherMetal(ctx.metal[1], via.topEncAt(p), via.topLayer);
+
+  ctx.cut.clear();
+  const Rect cutRect = via.cutAt(p);
+  queryWithExtra(via.cutLayer,
+                 cutRect.bloat(tech_->layer(via.cutLayer).cutSpacing), extra,
+                 [&](const Shape& s) { ctx.cut.push_back(s); });
+}
+
+void DrcEngine::judgeVia(const ViaContext& ctx, std::vector<Violation>& out,
+                         DrcWork& work) const {
+  const db::ViaDef& via = *ctx.via;
+  ++work.viaChecks;
+  for (const ViaContext::Metal& m : ctx.metal) {
+    ++work.metalRectChecks;
+    const db::Layer& layer = tech_->layer(m.layer);
+    const Shape cand{m.enc, m.layer, ctx.net, ShapeKind::kVia, false};
+
+    // Spacing / shorts against conflicting context shapes.
+    for (const Shape& s : m.spacing) {
+      if (auto v = checkSpacingPair(layer, cand, s)) out.push_back(*v);
+    }
+    if (!needsBoundary(layer)) continue;
+
+    // Min step and EOL over the merged same-net component, sharing one
+    // boundary extraction; only violations in the via's vicinity count.
+    const Rect vicinity = viaVicinity(layer, m.enc);
+    const std::vector<geom::BoundaryRing> rings = geom::unionBoundary(m.comp);
+    ++work.unionBoundaryCalls;
+    for (const Violation& v : checkMinStep(layer, rings)) {
+      if (v.bbox.intersects(vicinity)) out.push_back(v);
+    }
+    for (const Violation& v : checkEol(layer, rings, ctx.net, m.eol)) {
+      if (v.bbox.intersects(vicinity)) out.push_back(v);
+    }
+  }
+
+  // Cut spacing.
+  const db::Layer& cutLayer = tech_->layer(via.cutLayer);
+  const Shape cutCand{via.cutAt(ctx.at), via.cutLayer, ctx.net,
+                      ShapeKind::kVia, false};
+  for (const Shape& s : ctx.cut) {
+    if (auto v = checkCutSpacingPair(cutLayer, cutCand, s)) out.push_back(*v);
+  }
+}
+
+std::vector<Violation> DrcEngine::checkVia(const db::ViaDef& via, Point p,
+                                           int net,
+                                           std::span<const Shape> extra,
+                                           ViaContext& scratch,
+                                           DrcWork& work) const {
+  gatherVia(via, p, net, extra, scratch);
+  std::vector<Violation> out;
+  judgeVia(scratch, out, work);
+  return out;
 }
 
 std::vector<Violation> DrcEngine::checkVia(const db::ViaDef& via, Point p,
                                            int net,
                                            std::span<const Shape> extra) const {
-  std::vector<Violation> out;
-
-  const auto checkMetalRect = [&](const Rect& enc, int layerIdx) {
-    const db::Layer& layer = tech_->layer(layerIdx);
-    const Shape cand{enc, layerIdx, net, ShapeKind::kVia, false};
-    const Coord halo = maxSpacingHalo(layer);
-
-    // Spacing / shorts against conflicting context shapes.
-    queryWithExtra(layerIdx, enc.bloat(halo), extra, [&](const Shape& s) {
-      if (auto v = checkSpacingPair(layer, cand, s)) out.push_back(*v);
-    });
-
-    // Min step and EOL over the merged same-net component. Only violations
-    // in the via's vicinity are attributed to it — a long pin bar may carry
-    // pre-existing artifacts far away that the via did not cause.
-    const Coord window =
-        halo + (layer.minStep ? layer.minStep->minStepLength : 0);
-    const Rect vicinity = enc.bloat(window);
-    const std::vector<Rect> comp = mergedComponent(enc, layerIdx, net, extra);
-    for (Violation v : checkMinStep(layer, comp)) {
-      if (v.bbox.intersects(vicinity)) out.push_back(v);
-    }
-    if (layer.eol) {
-      // Build a local context holding nearby conflicting shapes plus extras.
-      Rect compBox;
-      for (const Rect& r : comp) compBox = compBox.merge(r);
-      RegionQuery local(static_cast<int>(tech_->layers().size()));
-      queryWithExtra(layerIdx, compBox.bloat(halo), extra,
-                     [&](const Shape& s) {
-                       if (s.net != net || s.net == Shape::kObsNet) {
-                         local.add(s);
-                       }
-                     });
-      for (Violation v : checkEol(layer, comp, net, local)) {
-        if (v.bbox.intersects(vicinity)) out.push_back(v);
-      }
-    }
-  };
-
-  checkMetalRect(via.botEncAt(p), via.botLayer);
-  checkMetalRect(via.topEncAt(p), via.topLayer);
-
-  // Cut spacing.
-  const db::Layer& cutLayer = tech_->layer(via.cutLayer);
-  const Shape cutCand{via.cutAt(p), via.cutLayer, net, ShapeKind::kVia, false};
-  queryWithExtra(via.cutLayer, cutCand.rect.bloat(cutLayer.cutSpacing), extra,
-                 [&](const Shape& s) {
-                   if (auto v = checkCutSpacingPair(cutLayer, cutCand, s)) {
-                     out.push_back(*v);
-                   }
-                 });
+  ViaContext scratch;
+  DrcWork work;
+  std::vector<Violation> out = checkVia(via, p, net, extra, scratch, work);
+  work.publish();
   return out;
 }
 
@@ -123,14 +197,6 @@ std::vector<Violation> DrcEngine::checkWire(const Rect& r, int layerIdx,
                    }
                  });
   return out;
-}
-
-std::vector<Violation> DrcEngine::checkViaPair(const db::ViaDef& viaA,
-                                               Point pa, int netA,
-                                               const db::ViaDef& viaB,
-                                               Point pb, int netB) const {
-  const std::vector<Shape> aShapes = viaShapes(viaA, pa, netA);
-  return checkVia(viaB, pb, netB, aShapes);
 }
 
 std::vector<Violation> DrcEngine::checkAll(int numThreads) const {
@@ -225,9 +291,10 @@ std::vector<Violation> DrcEngine::checkAll(int numThreads) const {
       byNet[s.net].push_back(&s);
     }
     auto& nets = netLists.emplace_back(byNet.begin(), byNet.end());
-    rangeChunks(nets.size(), [this, &layer, &nets](
+    rangeChunks(nets.size(), [this, &layer, &nets, halo](
                                  std::size_t lo, std::size_t hi,
                                  std::vector<Violation>& out) {
+      std::vector<Shape> eolContext;
       for (std::size_t ni = lo; ni < hi; ++ni) {
         const auto& [net, netShapes] = nets[ni];
         // Union-find over this net's shapes by geometric adjacency.
@@ -264,14 +331,23 @@ std::vector<Violation> DrcEngine::checkAll(int numThreads) const {
             anyFixed = anyFixed || s->fixed;
           }
           if (!anyRouted) continue;
-          for (Violation v : checkMinStep(layer, comp)) {
-            v.netA = net;
-            out.push_back(v);
-          }
           if (layer.minArea > 0 && !anyFixed) {
             if (auto v = checkMinArea(layer, comp, net)) out.push_back(*v);
           }
-          for (Violation v : checkEol(layer, comp, net, region_)) {
+          if (!needsBoundary(layer)) continue;
+          const std::vector<geom::BoundaryRing> rings =
+              geom::unionBoundary(comp);
+          for (Violation v : checkMinStep(layer, rings)) {
+            v.netA = net;
+            out.push_back(v);
+          }
+          if (!layer.eol) continue;
+          Rect compBox;
+          for (const Rect& r : comp) compBox = compBox.merge(r);
+          eolContext.clear();
+          region_.query(layer.index, compBox.bloat(halo),
+                        [&](const Shape& s) { eolContext.push_back(s); });
+          for (const Violation& v : checkEol(layer, rings, net, eolContext)) {
             out.push_back(v);
           }
         }

@@ -40,6 +40,9 @@ class RegionQuery {
 
   void add(const Shape& s);
   void clear();
+  /// Reserves room for `perLayer[l]` shapes on each layer l, so a bulk load
+  /// grows each layer's tables once.
+  void reserve(const std::vector<std::size_t>& perLayer);
 
   int numLayers() const { return static_cast<int>(layers_.size()); }
   std::size_t size() const { return count_; }
@@ -48,11 +51,11 @@ class RegionQuery {
   template <typename Fn>
   void query(int layer, const geom::Rect& box, Fn&& fn) const {
     if (layer < 0 || layer >= numLayers()) return;
-    layers_[layer].query(
-        box, [&](const geom::Rect&, const Shape& s) { fn(s); });
+    const std::vector<Shape>& shapes = byLayer_[layer];
+    layers_[layer].query(box, [&](const geom::Rect&, std::uint32_t i) {
+      fn(shapes[i]);
+    });
   }
-
-  std::vector<Shape> queryShapes(int layer, const geom::Rect& box) const;
 
   /// All shapes on `layer` (unordered).
   const std::vector<Shape>& shapesOnLayer(int layer) const {
@@ -60,7 +63,9 @@ class RegionQuery {
   }
 
  private:
-  std::vector<geom::GridIndex<Shape>> layers_;
+  /// Per layer, a spatial index over positions in byLayer_ (each shape is
+  /// stored once).
+  std::vector<geom::GridIndex<std::uint32_t>> layers_;
   std::vector<std::vector<Shape>> byLayer_;
   std::size_t count_ = 0;
 };

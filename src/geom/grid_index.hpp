@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -20,7 +21,7 @@ class GridIndex {
   explicit GridIndex(Coord cellSize = 4096) : cellSize_(cellSize) {}
 
   void insert(const Rect& bbox, T value) {
-    const std::size_t idx = items_.size();
+    const auto idx = static_cast<std::uint32_t>(items_.size());
     items_.push_back({bbox, std::move(value)});
     forEachBin(bbox, [&](std::int64_t key, std::int64_t, std::int64_t) {
       bins_[key].push_back(idx);
@@ -31,6 +32,9 @@ class GridIndex {
     items_.clear();
     bins_.clear();
   }
+
+  /// Reserves room for `n` items, so a bulk load grows the item table once.
+  void reserve(std::size_t n) { items_.reserve(n); }
 
   std::size_t size() const { return items_.size(); }
 
@@ -47,7 +51,7 @@ class GridIndex {
     forEachBin(query, [&](std::int64_t key, std::int64_t gx, std::int64_t gy) {
       const auto it = bins_.find(key);
       if (it == bins_.end()) return;
-      for (const std::size_t idx : it->second) {
+      for (const std::uint32_t idx : it->second) {
         const Rect& bbox = items_[idx].bbox;
         if (!bbox.intersects(query)) continue;
         if (gx != std::max(qx1, floorDiv(bbox.xlo)) ||
@@ -92,7 +96,8 @@ class GridIndex {
 
   Coord cellSize_;
   std::vector<Item> items_;
-  std::unordered_map<std::int64_t, std::vector<std::size_t>> bins_;
+  /// Item ids per bin; 32-bit ids halve the bin lists of large indices.
+  std::unordered_map<std::int64_t, std::vector<std::uint32_t>> bins_;
 };
 
 }  // namespace pao::geom

@@ -10,11 +10,11 @@
 
 namespace pao::geom {
 
-// These primitives run inside the DRC hot loop (every checkVia calls
-// unionBoundary twice through min-step/EOL), so all internal scratch —
-// interval lists, sweep events, edge stitching tables — lives in the
-// calling thread's arena and dies at function exit. Only the returned
-// containers touch the heap.
+// These primitives run inside the DRC hot loop (the via judge extracts one
+// boundary per enclosure layer with a min-step or EOL rule), so all
+// internal scratch — interval lists, sweep events, edge stitching tables —
+// lives in the calling thread's arena and dies at function exit. Only the
+// returned containers touch the heap.
 
 namespace {
 
@@ -212,6 +212,19 @@ Point dirOf(const RawEdge& e) {
 }  // namespace
 
 std::vector<BoundaryRing> unionBoundary(const std::vector<Rect>& rects) {
+  // A union that is one rect — a lone via enclosure, or an enclosure inside
+  // its pin — is that rect's ring, in the order the sweep below emits it:
+  // counter-clockwise from the lower-left corner.
+  Rect box;
+  for (const Rect& r : rects) box = box.merge(r);
+  if (box.xlo < box.xhi && box.ylo < box.yhi &&
+      std::find(rects.begin(), rects.end(), box) != rects.end()) {
+    return {{{{box.xlo, box.ylo}, {box.xhi, box.ylo}},
+             {{box.xhi, box.ylo}, {box.xhi, box.yhi}},
+             {{box.xhi, box.yhi}, {box.xlo, box.yhi}},
+             {{box.xlo, box.yhi}, {box.xlo, box.ylo}}}};
+  }
+
   util::ArenaScope scratch(util::scratchArena());
   ArenaVector<Rect> slabs;
   unionSlabsInto(rects, slabs);

@@ -121,14 +121,18 @@ std::vector<Coord> AccessPointGenerator::nonPrefCoords(const Rect& shape,
   return {};
 }
 
-bool AccessPointGenerator::validate(AccessPoint& ap, int pinIdx) const {
+bool AccessPointGenerator::validate(AccessPoint& ap, int pinIdx,
+                                    drc::ViaContext& scratch,
+                                    drc::DrcWork& work) const {
   const drc::DrcEngine& engine = ctx_->engine();
   const db::Design& design = ctx_->design();
   const int net = ctx_->pinNet(pinIdx);
 
   // Up-via access: probe every via def rooted on this layer, default first.
   for (const db::ViaDef* via : design.tech->viaDefsFromLayer(ap.layer)) {
-    if (engine.isViaClean(*via, ap.loc, net)) ap.viaIdx.push_back(via->index);
+    if (engine.isViaClean(*via, ap.loc, net, {}, scratch, work)) {
+      ap.viaIdx.push_back(via->index);
+    }
   }
   if (!ap.viaIdx.empty()) ap.dirs |= kUp;
 
@@ -147,6 +151,10 @@ bool AccessPointGenerator::validate(AccessPoint& ap, int pinIdx) const {
 std::vector<AccessPoint> AccessPointGenerator::generate(int pinIdx) const {
   std::vector<AccessPoint> aps;
   std::unordered_set<Point> seen;
+  // One via-check scratch for the pin's candidates; the work is published
+  // once per pin.
+  drc::ViaContext scratch;
+  drc::DrcWork work;
 
   // Candidate shapes: maximal rectangles per layer carrying the pin.
   struct LayerShapes {
@@ -180,14 +188,20 @@ std::vector<AccessPoint> AccessPointGenerator::generate(int pinIdx) const {
               ap.prefType = static_cast<CoordType>(t0);
               ap.nonPrefType = static_cast<CoordType>(t1);
               if (!seen.insert(ap.loc).second) continue;
-              if (validate(ap, pinIdx)) aps.push_back(std::move(ap));
+              if (validate(ap, pinIdx, scratch, work)) {
+                aps.push_back(std::move(ap));
+              }
             }
           }
         }
       }
-      if (static_cast<int>(aps.size()) >= cfg_.k) return aps;
+      if (static_cast<int>(aps.size()) >= cfg_.k) {
+        work.publish();
+        return aps;
+      }
     }
   }
+  work.publish();
   return aps;
 }
 

@@ -51,7 +51,8 @@ class AccessPointGenerator {
 
   /// DRC-validates a candidate point; fills dirs/viaDefs. Returns false when
   /// the point offers no usable access.
-  bool validate(AccessPoint& ap, int pinIdx) const;
+  bool validate(AccessPoint& ap, int pinIdx, drc::ViaContext& scratch,
+                drc::DrcWork& work) const;
 
   const InstContext* ctx_;
   ApGenConfig cfg_;

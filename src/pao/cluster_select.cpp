@@ -32,8 +32,12 @@ std::vector<std::vector<int>> buildClusters(const db::Design& design) {
   rowYs.erase(std::unique(rowYs.begin(), rowYs.end()), rowYs.end());
   for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
     const geom::Rect bbox = design.instances[i].bbox();
-    for (const geom::Coord y : rowYs) {
-      if (y >= bbox.ylo && y < bbox.yhi) byRow[y].push_back(i);
+    // The rows with y in [ylo, yhi), found by bisection: every session
+    // mutation rebuilds the clusters, so a scan of all rows per instance
+    // would dominate its cost on large designs.
+    for (auto y = std::lower_bound(rowYs.begin(), rowYs.end(), bbox.ylo);
+         y != rowYs.end() && *y < bbox.yhi; ++y) {
+      byRow[*y].push_back(i);
     }
   }
   for (auto& [y, insts] : byRow) {
@@ -175,10 +179,14 @@ bool ClusterSelector::patternsCompatible(int instA, int patA, int instB,
   const std::vector<PlacedAp> right =
       boundaryAps(instB, patB, /*right=*/false);
   const db::Tech& tech = *design_->tech;
-  // Probes are tallied locally and committed only if this thread's result
-  // wins the memo-cache insert below, which makes the published count equal
-  // to the serial one at any thread count (see numPairChecks()).
+  // Probes and their DRC work are tallied locally and committed only if
+  // this thread's result wins the memo-cache insert below, which makes the
+  // published counts equal to the serial ones at any thread count (see
+  // numPairChecks()). The via-check buffers are per worker thread.
   std::size_t localChecks = 0;
+  drc::DrcWork work;
+  thread_local drc::ViaContext scratch;
+  thread_local std::vector<drc::Shape> extra;
   const auto viaClean = [&](const PlacedAp& ap,
                             const std::vector<drc::Shape>& ownEdge,
                             const std::vector<drc::Shape>& otherEdge,
@@ -187,17 +195,15 @@ bool ClusterSelector::patternsCompatible(int instA, int patA, int instB,
     // The via's own cell shapes come along (its own pin bar shares the via's
     // net id) so merged-component rules see the real pin geometry; conflicts
     // against the own cell were already cleared in Step 2.
-    std::vector<drc::Shape> extra = otherEdge;
+    extra.assign(otherEdge.begin(), otherEdge.end());
     extra.insert(extra.end(), ownEdge.begin(), ownEdge.end());
     if (other != nullptr && other->ap->primaryVia(tech) != nullptr) {
-      for (const drc::Shape& s : pairEngine_.viaShapes(
-               *other->ap->primaryVia(tech), other->loc, other->net)) {
-        extra.push_back(s);
-      }
+      pairEngine_.appendViaShapes(*other->ap->primaryVia(tech), other->loc,
+                                  other->net, extra);
     }
     ++localChecks;
     return pairEngine_.isViaClean(*ap.ap->primaryVia(tech), ap.loc, ap.net,
-                                  extra);
+                                  extra, scratch, work);
   };
   for (const PlacedAp& a : left) {
     for (const PlacedAp& b : right) {
@@ -227,6 +233,7 @@ bool ClusterSelector::patternsCompatible(int instA, int patA, int instB,
   if (committed) {
     numPairChecks_.fetch_add(localChecks, std::memory_order_relaxed);
     PAO_COUNTER_ADD("pao.step3.pair_checks", localChecks);
+    work.publish();
   }
   return clean;
 }

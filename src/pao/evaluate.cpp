@@ -1,8 +1,12 @@
 #include "pao/evaluate.hpp"
 
-#include <map>
+#include <cstdint>
+#include <span>
+#include <unordered_map>
 
+#include "drc/verdict_memo.hpp"
 #include "geom/grid_index.hpp"
+#include "obs/metrics.hpp"
 #include "pao/inst_context.hpp"
 
 namespace pao::core {
@@ -10,6 +14,8 @@ namespace pao::core {
 DirtyApStats countDirtyAps(const db::Design& design,
                            const OracleResult& result) {
   DirtyApStats stats;
+  drc::ViaContext scratch;
+  drc::DrcWork work;
   for (std::size_t c = 0; c < result.unique.classes.size(); ++c) {
     const ClassAccess& ca = result.classes[c];
     if (ca.pinAps.empty()) continue;
@@ -22,7 +28,8 @@ DirtyApStats countDirtyAps(const db::Design& design,
         const db::ViaDef* via = ap.primaryVia(*design.tech);
         bool clean;
         if (via != nullptr) {
-          clean = ctx.engine().isViaClean(*via, ap.loc, net);
+          clean = ctx.engine().isViaClean(*via, ap.loc, net, {}, scratch,
+                                          work);
         } else {
           // Planar-only access (macro pins): re-validate the escape stubs of
           // every claimed direction.
@@ -39,6 +46,7 @@ DirtyApStats countDirtyAps(const db::Design& design,
       }
     }
   }
+  work.publish();
   return stats;
 }
 
@@ -47,20 +55,52 @@ FailedPinStats countFailedPins(const db::Design& design,
                                std::size_t maxDetails,
                                FailedPinCriterion criterion) {
   FailedPinStats stats;
+  const db::Tech& tech = *design.tech;
+  const int numInsts = static_cast<int>(design.instances.size());
+  const int numNets = static_cast<int>(design.nets.size());
 
-  // Global electrical identity per (instance, master-pin): the design net
-  // index when attached, or a unique synthetic id otherwise.
-  std::map<std::pair<int, int>, int> netOf;
-  for (int n = 0; n < static_cast<int>(design.nets.size()); ++n) {
+  // Global electrical identity per (instance, master pin), dense: pin p of
+  // instance i sits at pinNet[pinOff[i] + p]. It holds the design net index
+  // when attached, or a unique synthetic id (>= numNets) otherwise.
+  constexpr int kUnattached = -2;
+  std::vector<std::size_t> pinOff(design.instances.size() + 1, 0);
+  for (int i = 0; i < numInsts; ++i) {
+    pinOff[i + 1] = pinOff[i] + design.instances[i].master->pins.size();
+  }
+  std::vector<int> pinNet(pinOff.back(), kUnattached);
+  for (int n = 0; n < numNets; ++n) {
     for (const db::NetTerm& t : design.nets[n].terms) {
-      if (!t.isIo()) netOf[{t.instIdx, t.pinIdx}] = n;
+      if (t.isIo() || t.pinIdx < 0 ||
+          pinOff[t.instIdx] + t.pinIdx >= pinOff[t.instIdx + 1]) {
+        continue;
+      }
+      pinNet[pinOff[t.instIdx] + t.pinIdx] = n;
     }
   }
-  int synthetic = static_cast<int>(design.nets.size());
+  int synthetic = numNets;
 
-  // Fixed design context: every instance's pin shapes and obstructions.
-  drc::DrcEngine engine(*design.tech);
-  for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
+  // Fixed design context: every instance's pin shapes and obstructions,
+  // reserved per layer up front so the bulk load grows each table once.
+  drc::DrcEngine engine(tech);
+  {
+    std::vector<std::size_t> perLayer(tech.layers().size(), 0);
+    const auto count = [&](int layer) {
+      if (layer >= 0 && layer < static_cast<int>(perLayer.size())) {
+        ++perLayer[layer];
+      }
+    };
+    for (const db::Instance& inst : design.instances) {
+      for (const db::Pin& pin : inst.master->pins) {
+        for (const db::PinShape& s : pin.shapes) count(s.layer);
+      }
+      for (const db::Obstruction& o : inst.master->obstructions) {
+        count(o.layer);
+      }
+    }
+    for (const db::IoPin& p : design.ioPins) count(p.layer);
+    engine.region().reserve(perLayer);
+  }
+  for (int i = 0; i < numInsts; ++i) {
     const db::Instance& inst = design.instances[i];
     const geom::Transform xf = inst.transform();
     const db::Master& master = *inst.master;
@@ -71,11 +111,10 @@ FailedPinStats countFailedPins(const db::Design& design,
       int net;
       if (isSupply) {
         net = drc::Shape::kObsNet;
-      } else if (const auto it = netOf.find({i, p}); it != netOf.end()) {
-        net = it->second;
       } else {
-        net = synthetic++;
-        netOf[{i, p}] = net;
+        int& id = pinNet[pinOff[i] + p];
+        if (id == kUnattached) id = synthetic++;
+        net = id;
       }
       for (const db::PinShape& s : pin.shapes) {
         engine.region().add({xf.apply(s.rect), s.layer, net,
@@ -93,10 +132,9 @@ FailedPinStats countFailedPins(const db::Design& design,
   }
 
   // Chosen vias of every net-attached pin, in a side index so each pin can
-  // be checked against every *other* pin's via without seeing its own.
+  // be checked against every *other* pin's via without seeing its own. Via
+  // shapes are recomputed from this table when needed, never stored.
   struct PlacedVia {
-    int inst;
-    int pinPos;  ///< signal-pin position within the master
     const db::ViaDef* via;
     geom::Point loc;
     int net;
@@ -104,27 +142,28 @@ FailedPinStats countFailedPins(const db::Design& design,
   std::vector<PlacedVia> placed;
   struct PinRef {
     int inst;
-    int pinPos;
+    int pinPos;  ///< signal-pin position within the master
     int net;
     int placedIdx;  ///< -1 when the pin has no chosen via access
     bool planar;    ///< chosen access is planar-only (macro pins)
   };
   std::vector<PinRef> pins;
 
-  for (int i = 0; i < static_cast<int>(design.instances.size()); ++i) {
-    const db::Master& master = *design.instances[i].master;
-    const std::vector<int> sig = master.signalPinIndices();
+  std::unordered_map<const db::Master*, std::vector<int>> sigPins;
+  for (int i = 0; i < numInsts; ++i) {
+    const db::Master* master = design.instances[i].master;
+    auto [sigIt, fresh] = sigPins.try_emplace(master);
+    if (fresh) sigIt->second = master->signalPinIndices();
+    const std::vector<int>& sig = sigIt->second;
     for (int pos = 0; pos < static_cast<int>(sig.size()); ++pos) {
-      const auto netIt = netOf.find({i, sig[pos]});
-      if (netIt == netOf.end()) continue;  // pin not attached to any net
+      const int net = pinNet[pinOff[i] + sig[pos]];
       // Only count pins attached to real design nets.
-      if (netIt->second >= static_cast<int>(design.nets.size())) continue;
-      PinRef ref{i, pos, netIt->second, -1, false};
+      if (net < 0 || net >= numNets) continue;
+      PinRef ref{i, pos, net, -1, false};
       const auto chosen = result.chosenAp(design, i, pos);
-      if (chosen && chosen->ap->primaryVia(*design.tech) != nullptr) {
+      if (chosen && chosen->ap->primaryVia(tech) != nullptr) {
         ref.placedIdx = static_cast<int>(placed.size());
-        placed.push_back(
-            {i, pos, chosen->ap->primaryVia(*design.tech), chosen->loc, netIt->second});
+        placed.push_back({chosen->ap->primaryVia(tech), chosen->loc, net});
       } else if (chosen && chosen->ap->dirs != 0) {
         // Planar-only access (macro pins): counts as accessible; the stub
         // legality was validated at generation and re-checked by
@@ -134,18 +173,51 @@ FailedPinStats countFailedPins(const db::Design& design,
       pins.push_back(ref);
     }
   }
+  // The identity table is done; free it before the checks grow the memo.
+  pinNet = {};
+  pinOff = {};
 
+  const auto viaBox = [](const PlacedVia& pv) {
+    return pv.via->botEncAt(pv.loc)
+        .merge(pv.via->cutAt(pv.loc))
+        .merge(pv.via->topEncAt(pv.loc));
+  };
   geom::GridIndex<int> viaIndex;
-  std::vector<std::vector<drc::Shape>> viaShapes(placed.size());
+  viaIndex.reserve(placed.size());
   for (int v = 0; v < static_cast<int>(placed.size()); ++v) {
-    const PlacedVia& pv = placed[v];
-    viaShapes[v] = engine.viaShapes(*pv.via, pv.loc, pv.net);
-    geom::Rect bbox;
-    for (const drc::Shape& s : viaShapes[v]) bbox = bbox.merge(s.rect);
-    viaIndex.insert(bbox, v);
+    viaIndex.insert(viaBox(placed[v]), v);
   }
 
   stats.totalPins = pins.size();
+
+  // Every via verdict goes through one scratch context and the clean-verdict
+  // memo; violations are always judged afresh (see drc/verdict_memo.hpp).
+  drc::ViaContext scratch;
+  drc::DrcWork work;
+  drc::ViaVerdictMemo memo;
+  std::uint64_t memoHits = 0;
+  std::uint64_t memoMisses = 0;
+  std::vector<drc::Violation> violations;
+  const auto judge = [&](const db::ViaDef& via, geom::Point loc, int net,
+                         std::span<const drc::Shape> extra) {
+    engine.gatherVia(via, loc, net, extra, scratch);
+    violations.clear();
+    if (memo.knownClean(scratch)) {
+      ++memoHits;
+      return true;
+    }
+    ++memoMisses;
+    engine.judgeVia(scratch, violations, work);
+    if (violations.empty()) memo.recordClean();
+    return violations.empty();
+  };
+  const auto fail = [&](const PinRef& ref,
+                        const std::vector<drc::Violation>& why) {
+    ++stats.failedPins;
+    if (stats.details.size() < maxDetails) {
+      stats.details.push_back({ref.inst, ref.pinPos, why});
+    }
+  };
 
   if (criterion == FailedPinCriterion::kAnyAp) {
     // Lenient criterion: a pin passes when ANY of its generated access
@@ -160,55 +232,38 @@ FailedPinStats countFailedPins(const db::Design& design,
             design.instances[ui.representative].origin;
         for (const AccessPoint& ap :
              result.classes[cls].pinAps[ref.pinPos]) {
-          if (ap.primaryVia(*design.tech) == nullptr) continue;
-          if (engine.isViaClean(*ap.primaryVia(*design.tech), ap.loc + delta, ref.net)) {
+          const db::ViaDef* via = ap.primaryVia(tech);
+          if (via != nullptr && judge(*via, ap.loc + delta, ref.net, {})) {
             anyClean = true;
             break;
           }
         }
       }
-      if (!anyClean) {
-        ++stats.failedPins;
-        if (stats.details.size() < maxDetails) {
-          stats.details.push_back({ref.inst, ref.pinPos, {}});
-        }
-      }
+      if (!anyClean) fail(ref, {});
     }
-    return stats;
-  }
-
-  for (const PinRef& ref : pins) {
-    if (ref.placedIdx < 0) {
-      if (!ref.planar) {
-        ++stats.failedPins;
-        if (stats.details.size() < maxDetails) {
-          stats.details.push_back({ref.inst, ref.pinPos, {}});
-        }
-      }
-      continue;
-    }
-    const PlacedVia& pv = placed[ref.placedIdx];
-    // Context: all other pins' chosen vias near this one.
+  } else {
     std::vector<drc::Shape> extra;
-    geom::Rect query;
-    for (const drc::Shape& s : viaShapes[ref.placedIdx]) {
-      query = query.merge(s.rect);
-    }
-    viaIndex.query(query.bloat(2048), [&](const geom::Rect&, int v) {
-      if (v == ref.placedIdx) return;
-      // Same-net vias (multi-pin nets) are not conflicts; include them
-      // anyway — checkVia treats same-net context as merge candidates.
-      for (const drc::Shape& s : viaShapes[v]) extra.push_back(s);
-    });
-    const std::vector<drc::Violation> violations =
-        engine.checkVia(*pv.via, pv.loc, pv.net, extra);
-    if (!violations.empty()) {
-      ++stats.failedPins;
-      if (stats.details.size() < maxDetails) {
-        stats.details.push_back({ref.inst, ref.pinPos, violations});
+    for (const PinRef& ref : pins) {
+      if (ref.placedIdx < 0) {
+        if (!ref.planar) fail(ref, {});
+        continue;
       }
+      const PlacedVia& pv = placed[ref.placedIdx];
+      // Context: all other pins' chosen vias near this one. Same-net vias
+      // (multi-pin nets) are not conflicts; they come along anyway —
+      // checkVia treats same-net context as merge candidates.
+      extra.clear();
+      viaIndex.query(viaBox(pv).bloat(2048), [&](const geom::Rect&, int v) {
+        if (v == ref.placedIdx) return;
+        engine.appendViaShapes(*placed[v].via, placed[v].loc, placed[v].net,
+                               extra);
+      });
+      if (!judge(*pv.via, pv.loc, pv.net, extra)) fail(ref, violations);
     }
   }
+  work.publish();
+  PAO_COUNTER_ADD("pao.eval.verdict_memo_hits", memoHits);
+  PAO_COUNTER_ADD("pao.eval.verdict_memo_misses", memoMisses);
   return stats;
 }
 

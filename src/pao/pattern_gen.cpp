@@ -63,11 +63,12 @@ bool PatternGenerator::pairClean(int pinA, int apA, int pinB, int apB) {
     // each: the total is thread-count-invariant.
     PAO_COUNTER_INC("pao.step2.pair_checks");
     const std::vector<int>& sig = ctx_->signalPins();
-    clean =
-        ctx_->engine()
-            .checkViaPair(*a.primaryVia(tech), a.loc, ctx_->pinNet(sig[pinA]),
-                          *b.primaryVia(tech), b.loc, ctx_->pinNet(sig[pinB]))
-            .empty();
+    const drc::DrcEngine& engine = ctx_->engine();
+    const std::vector<drc::Shape> aShapes =
+        engine.viaShapes(*a.primaryVia(tech), a.loc, ctx_->pinNet(sig[pinA]));
+    clean = engine.isViaClean(*b.primaryVia(tech), b.loc,
+                              ctx_->pinNet(sig[pinB]), aShapes, scratch_,
+                              work_);
   }
   pairCleanCache_.emplace(key, clean);
   return clean;
@@ -210,7 +211,8 @@ std::vector<AccessPattern> PatternGenerator::run() {
         if (s.net != ctx_->pinNet(sig[i])) others.push_back(s);
       }
       if (!ctx_->engine().isViaClean(*ap.primaryVia(tech), ap.loc,
-                                     ctx_->pinNet(sig[i]), others)) {
+                                     ctx_->pinNet(sig[i]), others, scratch_,
+                                     work_)) {
         pat.validated = false;
       }
     }
@@ -232,6 +234,7 @@ std::vector<AccessPattern> PatternGenerator::run() {
     }
   }
   PAO_COUNTER_ADD("pao.step2.patterns_generated", patterns.size());
+  work_.publish();
   return patterns;
 }
 

@@ -73,6 +73,10 @@ class PatternGenerator {
   std::vector<std::pair<int, int>> usedBoundaryAps_;
   std::map<std::uint64_t, bool> pairCleanCache_;
   std::size_t numPairChecks_ = 0;
+  /// Via-check scratch of the class's DP; the work is published at the end
+  /// of run().
+  drc::ViaContext scratch_;
+  drc::DrcWork work_;
 };
 
 }  // namespace pao::core

@@ -15,7 +15,12 @@
 #     apply in either order.
 #   cli_usage.sh gen <pao_cli> <workdir>
 #     `pao_cli gen` into a prefix it cannot write exits 3 and never prints
-#     "wrote".
+#     "wrote". A <preset> that is not 0-9, a, m or h, or a <scale> that is
+#     not a number > 0, exits 2 and writes nothing.
+#   cli_usage.sh tools <report_check> <pao_client>
+#     report_check's trace <minSpans> and pao_client's --port, --partial and
+#     --retry-ms parse whole: a bad value exits 2 naming the flag, before
+#     any file is read or socket opened.
 set -u
 
 MODE=$1
@@ -125,6 +130,43 @@ case "$MODE" in
       fail "gen into a writable prefix failed"
     [ -s "$WORK/case.lef" ] && [ -s "$WORK/case.def" ] ||
       fail "gen left no output"
+    for args in "abc 0.005" "10 0.005" "-1 0.005" "0x 0.005" "1.5 0.005" \
+        "0 zzz" "0 0" "0 -1" "0 nan" "0 0.005x" "h abc" "m 0" "a inf"; do
+      rm -f "$WORK/bad.lef" "$WORK/bad.def"
+      # shellcheck disable=SC2086
+      "$CLI" gen $args "$WORK/bad" 2>/dev/null
+      rc=$?
+      [ "$rc" -eq 2 ] || fail "gen $args exited $rc, want 2"
+      [ -e "$WORK/bad.lef" ] || [ -e "$WORK/bad.def" ] &&
+        fail "gen $args wrote output"
+    done
+    ;;
+  tools)
+    CHECK=$2
+    CLIENT=$3
+    SOCK=/nonexistent/dir/s.sock
+    expect2named() {
+      flag=$1
+      shift
+      err=$("$@" 2>&1)
+      rc=$?
+      [ "$rc" -eq 2 ] || fail "'$*' exited $rc, want 2"
+      case "$err" in
+        *"$flag:"*) ;;
+        *) fail "'$*' did not reject the $flag value: $err" ;;
+      esac
+    }
+    for v in abc -1 4x 1.5 ' 2' '' 99999999999999999999; do
+      expect2named minSpans "$CHECK" trace /nonexistent/t.json "$v"
+      expect2named --port "$CLIENT" --port "$v"
+      expect2named --partial "$CLIENT" --socket "$SOCK" --partial "$v"
+      expect2named --retry-ms "$CLIENT" --socket "$SOCK" --retry-ms "$v"
+    done
+    expect2named --port "$CLIENT" --port 65536
+    # Accepted values get as far as the missing socket (exit 3).
+    "$CLIENT" --socket "$SOCK" --retry-ms 0 --partial 5 '{}' 2>/dev/null
+    rc=$?
+    [ "$rc" -eq 3 ] || fail "valid pao_client flags exited $rc, want 3"
     ;;
   *)
     fail "unknown mode '$MODE'"

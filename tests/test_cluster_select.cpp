@@ -94,9 +94,9 @@ TEST_F(ClusterFixture, AbuttingInstancesChooseCompatiblePatterns) {
 
   drc::DrcEngine engine(*td_.tech);
   EXPECT_TRUE(engine
-                  .checkViaPair(*right->ap->primaryVia(*td_.tech), right->loc,
-                                1, *left->ap->primaryVia(*td_.tech),
-                                left->loc, 2)
+                  .checkVia(*left->ap->primaryVia(*td_.tech), left->loc, 2,
+                            engine.viaShapes(*right->ap->primaryVia(*td_.tech),
+                                             right->loc, 1))
                   .empty())
       << "selected boundary vias conflict: " << right->loc << " vs "
       << left->loc;

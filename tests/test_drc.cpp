@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "drc/engine.hpp"
+#include "drc/verdict_memo.hpp"
 #include "test_util.hpp"
 
 namespace pao::drc {
@@ -70,44 +71,52 @@ TEST_F(DrcFixture, MinStepDetectsSmallNotch) {
   const db::Layer& m1 = tech_->layer(m1_);
   // An 80-tall tab sticking out of a big rect: edges of 80 < 120 min step.
   const std::vector<Rect> comp = {{0, 0, 1000, 500}, {400, 500, 480, 580}};
-  const auto violations = checkMinStep(m1, comp);
+  const auto violations = checkMinStep(m1, geom::unionBoundary(comp));
   EXPECT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].kind, RuleKind::kMinStep);
   // A 200-wide, 200-tall tab: all new edges >= 120 -> clean.
   const std::vector<Rect> ok = {{0, 0, 1000, 500}, {400, 500, 600, 700}};
-  EXPECT_TRUE(checkMinStep(m1, ok).empty());
+  EXPECT_TRUE(checkMinStep(m1, geom::unionBoundary(ok)).empty());
 }
 
 TEST_F(DrcFixture, MinStepCleanRect) {
   const db::Layer& m1 = tech_->layer(m1_);
-  EXPECT_TRUE(checkMinStep(m1, {{0, 0, 1000, 500}}).empty());
+  EXPECT_TRUE(checkMinStep(m1, geom::unionBoundary({{0, 0, 1000, 500}}))
+                  .empty());
   // A rect smaller than min step on both sides is all-short-edges.
-  EXPECT_FALSE(checkMinStep(m1, {{0, 0, 100, 100}}).empty());
+  EXPECT_FALSE(
+      checkMinStep(m1, geom::unionBoundary({{0, 0, 100, 100}})).empty());
 }
 
 TEST_F(DrcFixture, EolNeighborTriggersViolation) {
   const db::Layer& m1 = tech_->layer(m1_);
   // A 100-wide wire end (eolWidth 110 -> EOL edge), neighbor within the
   // 120 clearance region in front of the end.
-  RegionQuery context(static_cast<int>(tech_->layers().size()));
-  context.add({{1050, 0, 1200, 100}, m1_, 2, ShapeKind::kWire, false});
-  const std::vector<Rect> comp = {{0, 0, 1000, 100}};
-  const auto violations = checkEol(m1, comp, 1, context);
+  const std::vector<Shape> context = {
+      {{1050, 0, 1200, 100}, m1_, 2, ShapeKind::kWire, false}};
+  const auto rings = geom::unionBoundary({{0, 0, 1000, 100}});
+  const auto violations = checkEol(m1, rings, 1, context);
   ASSERT_FALSE(violations.empty());
   EXPECT_EQ(violations[0].kind, RuleKind::kEndOfLine);
 
   // Neighbor beyond the EOL clearance: clean.
-  RegionQuery far(static_cast<int>(tech_->layers().size()));
-  far.add({{1130, 0, 1300, 100}, m1_, 2, ShapeKind::kWire, false});
-  EXPECT_TRUE(checkEol(m1, comp, 1, far).empty());
+  const std::vector<Shape> far = {
+      {{1130, 0, 1300, 100}, m1_, 2, ShapeKind::kWire, false}};
+  EXPECT_TRUE(checkEol(m1, rings, 1, far).empty());
+  // A same-net neighbor is no EOL conflict.
+  const std::vector<Shape> same = {
+      {{1050, 0, 1200, 100}, m1_, 1, ShapeKind::kWire, false}};
+  EXPECT_TRUE(checkEol(m1, rings, 1, same).empty());
 }
 
 TEST_F(DrcFixture, EolWideEdgeExempt) {
   const db::Layer& m1 = tech_->layer(m1_);
   // A 200-wide wire end is not an EOL edge (>= eolWidth 110).
-  RegionQuery context(static_cast<int>(tech_->layers().size()));
-  context.add({{1050, 0, 1200, 200}, m1_, 2, ShapeKind::kWire, false});
-  EXPECT_TRUE(checkEol(m1, {{0, 0, 1000, 200}}, 1, context).empty());
+  const std::vector<Shape> context = {
+      {{1050, 0, 1200, 200}, m1_, 2, ShapeKind::kWire, false}};
+  EXPECT_TRUE(
+      checkEol(m1, geom::unionBoundary({{0, 0, 1000, 200}}), 1, context)
+          .empty());
 }
 
 TEST_F(DrcFixture, MinArea) {
@@ -183,6 +192,47 @@ TEST_F(DrcFixture, ViaCutSpacingAgainstNearbyCut) {
   EXPECT_TRUE(sawCut);
 }
 
+TEST_F(DrcFixture, VerdictMemoKeepsNetClassesApart) {
+  // A via on its own pin bar over a cut stacked exactly under its cut:
+  // clean while the cut is the via's net, a short on any other net, and a
+  // spacing violation once foreign metal comes within 60 of the enclosure.
+  const auto gather = [&](int cutNet, Point at, ViaContext& ctx,
+                          bool foreign = false) {
+    DrcEngine e(*tech_);
+    e.region().add({Rect(at.x - 600, at.y - 100, at.x + 600, at.y + 100),
+                    m1_, 1, ShapeKind::kPin, true});
+    e.region().add({via_->cutAt(at), v1_, cutNet, ShapeKind::kVia, true});
+    if (foreign) {
+      e.region().add({Rect(at.x - 600, at.y + 120, at.x + 600, at.y + 260),
+                      m1_, 2, ShapeKind::kPin, true});
+    }
+    e.gatherVia(*via_, at, 1, {}, ctx);
+    std::vector<Violation> out;
+    DrcWork work;
+    e.judgeVia(ctx, out, work);
+    EXPECT_EQ(work.viaChecks, 1u);
+    EXPECT_EQ(work.metalRectChecks, 2u);
+    EXPECT_LE(work.unionBoundaryCalls, work.metalRectChecks);
+    return out.empty();
+  };
+  ViaContext ctx;
+  ViaVerdictMemo memo;
+  ASSERT_TRUE(gather(1, {600, 0}, ctx));
+  EXPECT_FALSE(memo.knownClean(ctx));
+  memo.recordClean();
+  EXPECT_EQ(memo.size(), 1u);
+  // The same context elsewhere is known clean...
+  ASSERT_TRUE(gather(1, {4600, 8000}, ctx));
+  EXPECT_TRUE(memo.knownClean(ctx));
+  // ...but not with the cut on another net or an obstruction.
+  ASSERT_FALSE(gather(2, {600, 0}, ctx));
+  EXPECT_FALSE(memo.knownClean(ctx));
+  ASSERT_FALSE(gather(Shape::kObsNet, {600, 0}, ctx));
+  EXPECT_FALSE(memo.knownClean(ctx));
+  ASSERT_FALSE(gather(1, {600, 0}, ctx, /*foreign=*/true));
+  EXPECT_FALSE(memo.knownClean(ctx));
+}
+
 TEST_F(DrcFixture, ViaPairConflictAndResolution) {
   // Two pins side by side; vias at the same y conflict via bottom-enclosure
   // spacing, vias far apart are compatible.
@@ -191,15 +241,15 @@ TEST_F(DrcFixture, ViaPairConflictAndResolution) {
   // Enclosures: x in [60-150, 60+150] = [-90,210] and [460-150,460+150] =
   // [310,610]; gap 100 >= spacing 100 -> clean... make them closer in y to
   // check the PRL effect: same y -> PRL = 120 > 0, gap 100 -> exactly ok.
-  EXPECT_TRUE(engine_
-                  .checkViaPair(*via_, {60, 500}, 1, *via_, {460, 500}, 2)
-                  .empty());
+  const std::vector<Shape> left = engine_.viaShapes(*via_, {60, 500}, 1);
+  EXPECT_TRUE(engine_.checkVia(*via_, {460, 500}, 2, left).empty());
   // Shift the second pin 40 left: gap 60 < 100 -> conflict.
   DrcEngine e2(*tech_);
   e2.region().add({{0, 0, 120, 1000}, m1_, 1, ShapeKind::kPin, true});
   e2.region().add({{360, 0, 480, 1000}, m1_, 2, ShapeKind::kPin, true});
   EXPECT_FALSE(
-      e2.checkViaPair(*via_, {60, 500}, 1, *via_, {420, 500}, 2).empty());
+      e2.checkVia(*via_, {420, 500}, 2, e2.viaShapes(*via_, {60, 500}, 1))
+          .empty());
 }
 
 TEST_F(DrcFixture, CheckAllFindsPlantedViolations) {

@@ -50,8 +50,8 @@ TEST_F(EngineExtra, ViaShapesProduceThreeLayers) {
 TEST_F(EngineExtra, ViaPairSameNetMergesInsteadOfConflicting) {
   // Two same-net vias 200 apart: bottom enclosures overlap -> same net, so
   // no short; cut spacing still applies between distinct same-net cuts.
-  const auto violations =
-      engine_.checkViaPair(*via_, {500, 500}, 7, *via_, {700, 500}, 7);
+  const auto violations = engine_.checkVia(
+      *via_, {700, 500}, 7, engine_.viaShapes(*via_, {500, 500}, 7));
   for (const Violation& v : violations) {
     EXPECT_NE(v.kind, RuleKind::kShort) << v.describe();
   }

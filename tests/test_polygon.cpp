@@ -78,6 +78,24 @@ TEST(UnionBoundary, SquareHasFourEdges) {
   EXPECT_EQ(ringPerimeter(rings[0]), 400);
 }
 
+TEST(UnionBoundary, RectRingStartsAtTheBottomEdge) {
+  // One counter-clockwise ring from the lower-left corner, for a lone rect
+  // and for a rect that contains every other input alike.
+  const BoundaryRing want = {{{0, 0}, {100, 0}},
+                             {{100, 0}, {100, 50}},
+                             {{100, 50}, {0, 50}},
+                             {{0, 50}, {0, 0}}};
+  for (const std::vector<Rect>& rects :
+       {std::vector<Rect>{{0, 0, 100, 50}},
+        std::vector<Rect>{{10, 10, 20, 20}, {0, 0, 100, 50}, {0, 0, 100, 50}},
+        std::vector<Rect>{{0, 0, 100, 50}, {0, 0, 100, 10}}}) {
+    const auto rings = unionBoundary(rects);
+    ASSERT_EQ(rings.size(), 1u);
+    EXPECT_EQ(rings[0], want);
+  }
+  EXPECT_TRUE(unionBoundary({{0, 0, 0, 50}}).empty());
+}
+
 TEST(UnionBoundary, MergedRectsHaveMergedBoundary) {
   // Two abutting squares form a 200x100 rect: still 4 edges.
   const auto rings = unionBoundary({{0, 0, 100, 100}, {100, 0, 200, 100}});

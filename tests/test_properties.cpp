@@ -7,7 +7,9 @@
 #include <sstream>
 
 #include "benchgen/huge.hpp"
+#include "benchgen/tech_gen.hpp"
 #include "benchgen/testcase.hpp"
+#include "drc/verdict_memo.hpp"
 #include "geom/polygon.hpp"
 #include "lefdef/def_parser.hpp"
 #include "lefdef/def_writer.hpp"
@@ -129,6 +131,117 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::string(geom::toString(info.param));
     });
+
+// ------------------------------------------------------------ via checks
+
+// The verdict memo of countFailedPins rests on this: a via check depends on
+// its context only up to translation and a renaming of nets that keeps the
+// via's net, other nets and obstructions apart. Random vias in random
+// contexts (pin bars of the via's net, other nets' shapes, obstructions,
+// cut neighbors, extra shapes) are checked, then checked again with every
+// shape translated by a random offset and every net renamed. The violations
+// must agree once translated and renamed back, and the two gathered
+// contexts must get the same memo key. Violation markers are built from
+// rect centers, which round toward zero, so markers match exactly while
+// every coordinate stays non-negative; a translation across the origin
+// must still give the same verdict and key.
+TEST(ViaCheckProperty, VerdictIsInvariantUnderTranslationAndNetRenaming) {
+  const std::unique_ptr<db::Tech> tech =
+      benchgen::makeTech(benchgen::nodeParams(benchgen::Node::k45));
+  const int viaNet = 5;
+  const auto rename = [](int net) {
+    return net == drc::Shape::kObsNet ? net : 1000 + 7 * (9 - net);
+  };
+  const auto renameBack = [](int net) {
+    return net == drc::Shape::kObsNet ? net : 9 - (net - 1000) / 7;
+  };
+  int clean = 0;
+  int dirty = 0;
+  for (unsigned seed = 0; seed < 300; ++seed) {
+    std::mt19937 rng(seed);
+    const auto uni = [&](geom::Coord lo, geom::Coord hi) {
+      return std::uniform_int_distribution<geom::Coord>(lo, hi)(rng);
+    };
+    const std::vector<const db::ViaDef*> vias =
+        tech->viaDefsFromLayer(static_cast<int>(uni(0, 2)) * 2);
+    ASSERT_FALSE(vias.empty());
+    const db::ViaDef& via = *vias[uni(0, vias.size() - 1)];
+    const geom::Point at{5000 + uni(0, 400) * 5, 5000 + uni(0, 400) * 5};
+
+    std::vector<drc::Shape> fixed;
+    std::vector<drc::Shape> extra;
+    const int layers[3] = {via.botLayer, via.cutLayer, via.topLayer};
+    const int nets[5] = {viaNet, viaNet, 6, 7, drc::Shape::kObsNet};
+    // A pin bar of the via's net under the via, most of the time.
+    if (uni(0, 3) != 0) {
+      fixed.push_back({geom::Rect(at.x - uni(50, 900), at.y - uni(40, 80),
+                                  at.x + uni(50, 900), at.y + uni(40, 80)),
+                       via.botLayer, viaNet, drc::ShapeKind::kPin, true});
+    }
+    const int numShapes = static_cast<int>(uni(3, 16));
+    for (int i = 0; i < numShapes; ++i) {
+      const int layer = layers[uni(0, 2)];
+      const bool cut = layer == via.cutLayer;
+      const geom::Coord x = at.x + uni(-700, 700);
+      const geom::Coord y = at.y + uni(-700, 700);
+      const geom::Coord w = cut ? 140 : uni(20, 500);
+      const geom::Coord h = cut ? 140 : uni(20, 500);
+      const drc::Shape s{geom::Rect(x, y, x + w, y + h), layer,
+                         nets[uni(0, 4)], drc::ShapeKind::kPin, true};
+      (uni(0, 3) == 0 ? extra : fixed).push_back(s);
+    }
+
+    drc::DrcEngine a(*tech);
+    for (const drc::Shape& s : fixed) a.region().add(s);
+    std::vector<drc::Violation> va = a.checkVia(via, at, viaNet, extra);
+    drc::sortViolations(va);
+    (va.empty() ? clean : dirty) += 1;
+    drc::ViaContext ctxA;
+    a.gatherVia(via, at, viaNet, extra, ctxA);
+    drc::ViaVerdictMemo memo;
+    EXPECT_FALSE(memo.knownClean(ctxA));
+    memo.recordClean();
+
+    // One offset keeping every coordinate positive, one across the origin.
+    const geom::Point offsets[2] = {
+        {uni(-2500, 300000), uni(-2500, 300000)},
+        {-2 * at.x - uni(0, 999), -2 * at.y - uni(0, 999)}};
+    for (int k = 0; k < 2; ++k) {
+      const geom::Point d = offsets[k];
+      const auto moved = [&](drc::Shape s) {
+        s.rect = s.rect.translate(d.x, d.y);
+        s.net = rename(s.net);
+        return s;
+      };
+      drc::DrcEngine b(*tech);
+      for (const drc::Shape& s : fixed) b.region().add(moved(s));
+      std::vector<drc::Shape> extraB;
+      for (const drc::Shape& s : extra) extraB.push_back(moved(s));
+
+      std::vector<drc::Violation> vb =
+          b.checkVia(via, at + d, rename(viaNet), extraB);
+      for (drc::Violation& v : vb) {
+        v.bbox = v.bbox.translate(-d.x, -d.y);
+        v.netA = renameBack(v.netA);
+        v.netB = renameBack(v.netB);
+      }
+      drc::sortViolations(vb);
+      if (k == 0) {
+        EXPECT_EQ(va, vb) << "seed " << seed;
+      } else {
+        EXPECT_EQ(va.empty(), vb.empty()) << "seed " << seed;
+        EXPECT_EQ(va.size(), vb.size()) << "seed " << seed;
+      }
+
+      drc::ViaContext ctxB;
+      b.gatherVia(via, at + d, rename(viaNet), extraB, ctxB);
+      EXPECT_TRUE(memo.knownClean(ctxB)) << "seed " << seed << " offset " << k;
+    }
+  }
+  // The sample must exercise both verdicts.
+  EXPECT_GT(clean, 30);
+  EXPECT_GT(dirty, 30);
+}
 
 // ------------------------------------------------------------ tech nodes
 

@@ -120,7 +120,8 @@ int usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  pao_cli gen <preset> <scale> <out-prefix>   (preset 0-9, a, m, h)\n"
+      "  pao_cli gen <preset> <scale> <out-prefix>   (preset 0-9, a, m, h;"
+      " scale > 0)\n"
       "  pao_cli analyze <lef> <def> [--mode bca|nobca|legacy] [--threads N]"
       " [--report-failed N] [--cache-in f] [--cache-out f]"
       " [--report-json f|-] [--trace-out f] [--profile-out f|-]"
@@ -464,8 +465,33 @@ int cmdList() {
 
 int cmdGen(int argc, char** argv) {
   if (argc < 5) return usage();
+  // Both positionals parse whole before anything is written.
   const std::string which = argv[2];
-  const double scale = std::atof(argv[3]);
+  const bool huge = which == "h" || which == "huge";
+  const auto suite = benchgen::ispd18Suite();
+  benchgen::TestcaseSpec spec;
+  if (which == "a" || which == "aes14") {
+    spec = benchgen::aes14Spec();
+  } else if (which == "m" || which == "mixed") {
+    spec = benchgen::mixedSpec();
+  } else if (!huge) {
+    long long idx = 0;
+    if (!util::parseInteger(argv[2], 0,
+                            static_cast<long long>(suite.size()) - 1, idx)) {
+      std::fprintf(stderr,
+                   "<preset>: expected 0-%zu, a, m or h, got '%s'\n",
+                   suite.size() - 1, argv[2]);
+      return 2;
+    }
+    spec = suite[idx];
+  }
+  double scale = 0;
+  if (!tools::parseNonNegativeFlag("<scale>", argv[3], scale)) return 2;
+  if (scale <= 0) {
+    std::fprintf(stderr, "<scale>: expected a number > 0, got '%s'\n",
+                 argv[3]);
+    return 2;
+  }
   const std::string prefix = argv[4];
   // Closing flushes, so a failed write (unwritable prefix, full disk) shows
   // in the stream state before anything claims success.
@@ -478,7 +504,7 @@ int cmdGen(int argc, char** argv) {
     return false;
   };
 
-  if (which == "h" || which == "huge") {
+  if (huge) {
     // The huge preset streams the DEF straight to disk — the design is
     // never materialized, so scale 6+ (10M instances) fits in memory.
     const benchgen::HugeSpec hs = benchgen::hugeSpec();
@@ -487,7 +513,7 @@ int cmdGen(int argc, char** argv) {
     lef << lefdef::writeLef(*tl.tech, *tl.lib);
     std::ofstream def(prefix + ".def");
     const benchgen::HugeCounts counts = benchgen::writeHugeDef(
-        hs, scale > 0 ? scale : 1.0, *tl.tech, *tl.lib, def);
+        hs, scale, *tl.tech, *tl.lib, def);
     if (!closeBoth(lef, def)) return 3;
     std::fprintf(stderr,
                  "wrote %s.lef / %s.def (%zu instances, %zu nets, %d rows, "
@@ -497,19 +523,7 @@ int cmdGen(int argc, char** argv) {
     return 0;
   }
 
-  benchgen::TestcaseSpec spec;
-  if (which == "a" || which == "aes14") {
-    spec = benchgen::aes14Spec();
-  } else if (which == "m" || which == "mixed") {
-    spec = benchgen::mixedSpec();
-  } else {
-    const int idx = std::atoi(which.c_str());
-    const auto suite = benchgen::ispd18Suite();
-    if (idx < 0 || idx >= static_cast<int>(suite.size())) return usage();
-    spec = suite[idx];
-  }
-  const benchgen::Testcase tc =
-      benchgen::generate(spec, scale > 0 ? scale : 1.0);
+  const benchgen::Testcase tc = benchgen::generate(spec, scale);
 
   std::ofstream lef(prefix + ".lef");
   lef << lefdef::writeLef(*tc.tech, *tc.lib);

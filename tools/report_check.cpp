@@ -10,6 +10,10 @@
 //   report_check metrics <file.json>           validate a metrics snapshot
 //                                              (report section or pao_serve
 //                                              metrics response)
+//   report_check counter-le <file.json> <a> <b>
+//                                              both counters are in the
+//                                              report's metrics snapshot and
+//                                              a <= b
 //   report_check sarif <file.json>             validate a SARIF 2.1.0 log
 //                                              (as emitted by pao_lint
 //                                              --format sarif)
@@ -33,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "flag_values.hpp"
 #include "obs/report.hpp"
 
 namespace {
@@ -45,6 +50,7 @@ int usage() {
                " [--require-worker]\n"
                "  report_check compare <a.json> <b.json> [--ignore KEY ...]\n"
                "  report_check metrics <file.json>\n"
+               "  report_check counter-le <file.json> <a> <b>\n"
                "  report_check sarif <file.json>\n"
                "  report_check profile <file.json>\n"
                "  report_check ingest <file.json>\n");
@@ -96,8 +102,9 @@ int cmdTrace(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--require-worker") == 0) {
       requireWorker = true;
-    } else {
-      minSpans = std::atoi(argv[i]);
+    } else if (!pao::tools::parseIntFlag("minSpans", argv[i], 0,
+                                         pao::tools::kIntMax, minSpans)) {
+      return 2;
     }
   }
   pao::obs::Json doc;
@@ -165,6 +172,31 @@ int cmdMetrics(const char* path) {
   }
   std::fprintf(stderr, "%s: valid metrics snapshot (%zu counters)\n", path,
                snap->find("counters")->members().size());
+  return 0;
+}
+
+/// Work-counter ordering gate: counters `a` and `b` of the report's metrics
+/// snapshot both exist and a <= b.
+int cmdCounterLe(const char* path, const char* a, const char* b) {
+  pao::obs::Json doc;
+  if (!parseFile(path, doc)) return 2;
+  const pao::obs::Json* metrics = doc.find("metrics");
+  const pao::obs::Json* counters =
+      metrics != nullptr ? metrics->find("counters") : nullptr;
+  const pao::obs::Json* va = counters != nullptr ? counters->find(a) : nullptr;
+  const pao::obs::Json* vb = counters != nullptr ? counters->find(b) : nullptr;
+  if (va == nullptr || vb == nullptr || !va->isNumber() || !vb->isNumber()) {
+    std::fprintf(stderr, "%s: counter %s missing from the metrics snapshot\n",
+                 path, va == nullptr ? a : b);
+    return 1;
+  }
+  if (va->asDouble() > vb->asDouble()) {
+    std::fprintf(stderr, "%s: %s = %.0f exceeds %s = %.0f\n", path, a,
+                 va->asDouble(), b, vb->asDouble());
+    return 1;
+  }
+  std::fprintf(stderr, "%s: %s = %.0f <= %s = %.0f\n", path, a,
+               va->asDouble(), b, vb->asDouble());
   return 0;
 }
 
@@ -352,6 +384,9 @@ int main(int argc, char** argv) {
   if (cmd == "sarif" && argc == 3) return cmdSarif(argv[2]);
   if (cmd == "trace") return cmdTrace(argc, argv);
   if (cmd == "metrics" && argc == 3) return cmdMetrics(argv[2]);
+  if (cmd == "counter-le" && argc == 5) {
+    return cmdCounterLe(argv[2], argv[3], argv[4]);
+  }
   if (cmd == "compare" && argc >= 4) {
     std::vector<std::string> ignore;
     for (int i = 4; i < argc; ++i) {

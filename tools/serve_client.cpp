@@ -16,7 +16,8 @@
 //   --retry-ms M       total connect retry window in milliseconds
 //
 // exit codes: 0 all responses ok; 1 some response not ok or --extract
-// path missing; 3 connect or I/O failure.
+// path missing; 2 usage error or a flag value that is not a whole integer
+// in range; 3 connect or I/O failure.
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -31,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "flag_values.hpp"
 #include "obs/json.hpp"
 
 namespace {
@@ -154,13 +156,21 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
       socketPath = argv[++i];
     } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      if (!pao::tools::parseIntFlag("--port", argv[++i], 0, 65535, port)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--extract") == 0 && i + 1 < argc) {
       extract = argv[++i];
     } else if (std::strcmp(argv[i], "--partial") == 0 && i + 1 < argc) {
-      partial = std::atoll(argv[++i]);
+      if (!pao::tools::parseIntFlag("--partial", argv[++i], 0,
+                                    pao::tools::kIntMax, partial)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--retry-ms") == 0 && i + 1 < argc) {
-      retryMs = std::atoi(argv[++i]);
+      if (!pao::tools::parseIntFlag("--retry-ms", argv[++i], 0,
+                                    pao::tools::kIntMax, retryMs)) {
+        return 2;
+      }
     } else if (argv[i][0] == '-' && argv[i][1] == '-') {
       std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
       return usage();
