@@ -38,6 +38,22 @@ void BM_PolygonUnionBoundary(benchmark::State& state) {
 }
 BENCHMARK(BM_PolygonUnionBoundary)->Arg(4)->Arg(16)->Arg(64);
 
+/// The via judge's case: a merged component of a pin bar plus via
+/// enclosures that stick out of it (2-6 rects in all), extracted into ring
+/// storage the caller keeps, as judgeVia() does.
+void BM_PolygonUnionBoundaryVia(benchmark::State& state) {
+  std::vector<geom::Rect> rects = {{0, -35, 1000, 35}};
+  for (int i = 1; i < state.range(0); ++i) {
+    const geom::Coord x = 100 + 180 * i;
+    rects.emplace_back(x - 65, -65 - (i % 2) * 20, x + 65, 65 + (i % 3) * 10);
+  }
+  std::vector<geom::BoundaryRing> rings;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(geom::unionBoundaryInto(rects, rings));
+  }
+}
+BENCHMARK(BM_PolygonUnionBoundaryVia)->DenseRange(2, 6);
+
 void BM_MaxRects(benchmark::State& state) {
   std::vector<geom::Rect> rects;
   for (int i = 0; i < state.range(0); ++i) {

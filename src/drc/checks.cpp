@@ -10,6 +10,21 @@ using geom::Coord;
 using geom::Point;
 using geom::Rect;
 
+namespace {
+
+/// Floor midpoint of a rect: unlike Rect::center(), which rounds toward
+/// zero, it commutes with translation on both sides of the origin.
+Point floorMid(const Rect& r) {
+  return {r.xlo + (r.xhi - r.xlo) / 2, r.ylo + (r.yhi - r.ylo) / 2};
+}
+
+/// Marker of a pairwise spacing violation: the span between the midpoints.
+Rect pairMarker(const Rect& a, const Rect& b) {
+  return Rect(floorMid(a), floorMid(b));
+}
+
+}  // namespace
+
 std::optional<Violation> checkSpacingPair(const db::Layer& layer,
                                           const Shape& a, const Shape& b) {
   if (!conflicting(a, b)) return std::nullopt;
@@ -29,12 +44,12 @@ std::optional<Violation> checkSpacingPair(const db::Layer& layer,
     violated = geom::distSquared(a.rect, b.rect) < req * req;
   }
   if (!violated) return std::nullopt;
-  const Rect marker = Rect(a.rect.center(), b.rect.center());
-  return Violation{RuleKind::kMetalSpacing, layer.index, marker, a.net, b.net};
+  return Violation{RuleKind::kMetalSpacing, layer.index,
+                   pairMarker(a.rect, b.rect), a.net, b.net};
 }
 
 std::vector<Violation> checkMinStep(const db::Layer& layer,
-                                    const std::vector<BoundaryRing>& rings) {
+                                    std::span<const BoundaryRing> rings) {
   std::vector<Violation> out;
   if (!layer.minStep) return out;
   const Coord minLen = layer.minStep->minStepLength;
@@ -113,7 +128,7 @@ Rect eolRegion(const BoundaryEdge& e, Coord space, Coord within) {
 }  // namespace
 
 std::vector<Violation> checkEol(const db::Layer& layer,
-                                const std::vector<BoundaryRing>& rings,
+                                std::span<const BoundaryRing> rings,
                                 int selfNet, std::span<const Shape> context) {
   std::vector<Violation> out;
   if (!layer.eol) return out;
@@ -168,7 +183,7 @@ std::optional<Violation> checkCutSpacingPair(const db::Layer& cutLayer,
                                : geom::maxAxisGap(a.rect, b.rect) < req;
   if (!violated) return std::nullopt;
   return Violation{RuleKind::kCutSpacing, cutLayer.index,
-                   Rect(a.rect.center(), b.rect.center()), a.net, b.net};
+                   pairMarker(a.rect, b.rect), a.net, b.net};
 }
 
 Coord maxSpacingHalo(const db::Layer& layer) {

@@ -19,7 +19,9 @@ namespace pao::drc {
 /// Metal-to-metal spacing between two conflicting shapes on `layer`.
 /// PRL > 0 pairs use the spacing-table requirement against the axis gap;
 /// corner-to-corner pairs (PRL <= 0) use Euclidean distance. Overlapping
-/// conflicting shapes are shorts.
+/// conflicting shapes are shorts. The marker of a spacing (and cut spacing)
+/// violation spans the two shapes' floor midpoints, so it moves exactly with
+/// any translation of the pair.
 std::optional<Violation> checkSpacingPair(const db::Layer& layer,
                                           const Shape& a, const Shape& b);
 
@@ -28,7 +30,7 @@ std::optional<Violation> checkSpacingPair(const db::Layer& layer,
 /// `maxEdges` consecutive edges shorter than `minStepLength` (paper Fig. 3:
 /// a via enclosure protruding from a pin shape creates such steps).
 std::vector<Violation> checkMinStep(
-    const db::Layer& layer, const std::vector<geom::BoundaryRing>& rings);
+    const db::Layer& layer, std::span<const geom::BoundaryRing> rings);
 
 /// End-of-line spacing for one merged same-net component, given its
 /// boundary rings: boundary edges shorter than `eolWidth` that are convex at
@@ -37,7 +39,7 @@ std::vector<Violation> checkMinStep(
 /// `context` must hold every such shape within maxSpacingHalo() of the
 /// component's bounding box; other shapes in it are ignored.
 std::vector<Violation> checkEol(const db::Layer& layer,
-                                const std::vector<geom::BoundaryRing>& rings,
+                                std::span<const geom::BoundaryRing> rings,
                                 int selfNet, std::span<const Shape> context);
 
 /// True when the layer has a rule that reads merged-component boundaries

@@ -1,34 +1,31 @@
 #include "geom/polygon.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <map>
 #include <numeric>
-#include <unordered_map>
+#include <span>
 
 #include "util/arena.hpp"
 
 namespace pao::geom {
 
 // These primitives run inside the DRC hot loop (the via judge extracts one
-// boundary per enclosure layer with a min-step or EOL rule), so all
-// internal scratch — interval lists, sweep events, edge stitching tables —
-// lives in the calling thread's arena and dies at function exit. Only the
-// returned containers touch the heap.
+// boundary per enclosure layer with a min-step or EOL rule), so every sweep
+// works on flat sorted vectors — no node-based maps — and all internal
+// scratch lives in the calling thread's arena and dies at function exit.
+// unionBoundaryInto() writes into caller-owned rings, so a warm caller
+// allocates nothing at all.
+//
+// Output order is part of the contract: slabs come out band by band, left
+// to right; boundary edges are emitted horizontal lines first (ascending y),
+// then vertical lines (ascending x), each line in ascending position; rings
+// are stitched from the lowest unused edge id. Every caller that compares
+// rings, slabs or maximal rects sees the same sequence for the same input.
 
 namespace {
 
 using util::ArenaVector;
 
-template <typename K, typename V, typename Comp = std::less<K>>
-using ArenaMap = std::map<K, V, Comp, util::ArenaAllocator<std::pair<const K, V>>>;
-
-template <typename K, typename V, typename Hash = std::hash<K>>
-using ArenaHashMap =
-    std::unordered_map<K, V, Hash, std::equal_to<K>,
-                       util::ArenaAllocator<std::pair<const K, V>>>;
-
-/// Merges a set of closed intervals into a minimal disjoint set (in place).
+/// Merges a set of closed intervals into a minimal disjoint set sorted by lo.
 void mergeIntervals(ArenaVector<Interval>& ivs, ArenaVector<Interval>& out) {
   out.clear();
   std::sort(ivs.begin(), ivs.end(), [](const Interval& a, const Interval& b) {
@@ -44,19 +41,20 @@ void mergeIntervals(ArenaVector<Interval>& ivs, ArenaVector<Interval>& out) {
   }
 }
 
-std::vector<Rect> transpose(const std::vector<Rect>& rects) {
-  std::vector<Rect> out;
-  out.reserve(rects.size());
-  for (const Rect& r : rects) out.emplace_back(r.ylo, r.xlo, r.yhi, r.xhi);
-  return out;
-}
+/// A slab reaching the top of the band just swept: its x-interval and its
+/// index in the output.
+struct OpenSlab {
+  Coord lo;
+  Coord hi;
+  std::size_t idx;
+};
 
 /// Shared slab sweep: appends the disjoint canonical slabs of the union of
-/// `rects` to `out` (any container with emplace_back/back/size/operator[]).
+/// `rects` to `out` (any container with emplace_back/size/operator[]).
 /// The caller must hold an ArenaScope — an arena-backed `out` is allocated
 /// from that scope, so opening one here would rewind it on return.
 template <typename OutVec>
-void unionSlabsInto(const std::vector<Rect>& rects, OutVec& out) {
+void unionSlabsInto(std::span<const Rect> rects, OutVec& out) {
   ArenaVector<Rect> live;
   live.reserve(rects.size());
   for (const Rect& r : rects) {
@@ -73,11 +71,17 @@ void unionSlabsInto(const std::vector<Rect>& rects, OutVec& out) {
   std::sort(ys.begin(), ys.end());
   ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
 
-  // Open slabs from the previous band keyed by x-interval, for vertical
-  // merge.
-  ArenaMap<std::pair<Coord, Coord>, std::size_t> open;
+  // Slabs open at the previous band's top, sorted by lo: a band's merged
+  // intervals are disjoint with strictly increasing lo, so one forward
+  // cursor finds the slab (if any) a new interval extends.
+  ArenaVector<OpenSlab> open;
+  ArenaVector<OpenSlab> nextOpen;
+  open.reserve(live.size());
+  nextOpen.reserve(live.size());
   ArenaVector<Interval> xs;
   ArenaVector<Interval> merged;
+  xs.reserve(live.size());
+  merged.reserve(live.size());
   for (std::size_t bi = 0; bi + 1 < ys.size(); ++bi) {
     const Coord y1 = ys[bi];
     const Coord y2 = ys[bi + 1];
@@ -85,21 +89,29 @@ void unionSlabsInto(const std::vector<Rect>& rects, OutVec& out) {
     for (const Rect& r : live) {
       if (r.ylo <= y1 && r.yhi >= y2) xs.push_back(r.xSpan());
     }
-    ArenaMap<std::pair<Coord, Coord>, std::size_t> nextOpen;
     mergeIntervals(xs, merged);
+    nextOpen.clear();
+    std::size_t k = 0;
     for (const Interval& iv : merged) {
-      const auto key = std::make_pair(iv.lo, iv.hi);
-      const auto it = open.find(key);
-      if (it != open.end() && out[it->second].yhi == y1) {
-        out[it->second].yhi = y2;  // extend the slab from the previous band
-        nextOpen[key] = it->second;
+      while (k < open.size() && open[k].lo < iv.lo) ++k;
+      if (k < open.size() && open[k].lo == iv.lo && open[k].hi == iv.hi &&
+          out[open[k].idx].yhi == y1) {
+        out[open[k].idx].yhi = y2;  // extend the slab from the previous band
+        nextOpen.push_back({iv.lo, iv.hi, open[k].idx});
       } else {
         out.emplace_back(iv.lo, y1, iv.hi, y2);
-        nextOpen[key] = out.size() - 1;
+        nextOpen.push_back({iv.lo, iv.hi, out.size() - 1});
       }
     }
-    open = std::move(nextOpen);
+    std::swap(open, nextOpen);
   }
+}
+
+ArenaVector<Rect> transpose(std::span<const Rect> rects) {
+  ArenaVector<Rect> out;
+  out.reserve(rects.size());
+  for (const Rect& r : rects) out.emplace_back(r.ylo, r.xlo, r.yhi, r.xhi);
+  return out;
 }
 
 }  // namespace
@@ -138,13 +150,17 @@ std::vector<std::vector<Rect>> connectedComponents(
       if (rects[i].intersects(rects[j])) parent[find(i)] = find(j);
     }
   }
-  ArenaHashMap<std::size_t, std::size_t> rootToIdx;
+  // Components are numbered in order of their first rect.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  ArenaVector<std::size_t> compOfRoot(n, kNone);
   std::vector<std::vector<Rect>> out;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t root = find(i);
-    auto [it, inserted] = rootToIdx.try_emplace(root, out.size());
-    if (inserted) out.emplace_back();
-    out[it->second].push_back(rects[i]);
+    std::size_t& comp = compOfRoot[find(i)];
+    if (comp == kNone) {
+      comp = out.size();
+      out.emplace_back();
+    }
+    out[comp].push_back(rects[i]);
   }
   return out;
 }
@@ -156,39 +172,50 @@ struct RawEdge {
   Point to;
 };
 
-/// Sweeps one scanline worth of horizontal (or, transposed, vertical) edge
-/// contributions and appends net boundary edges. `plus` intervals carry
-/// weight +1, `minus` weight -1; net +1 emits a forward edge, net -1 a
-/// reversed edge, at the given fixed coordinate.
-void sweepLine(Coord fixed, bool horizontal, const ArenaVector<Interval>& plus,
-               const ArenaVector<Interval>& minus,
-               ArenaVector<RawEdge>& out) {
-  // Event-based coverage count over the variable axis.
-  ArenaMap<Coord, int> delta;
-  for (const Interval& iv : plus) {
-    delta[iv.lo] += 1;
-    delta[iv.hi] -= 1;
-  }
-  for (const Interval& iv : minus) {
-    delta[iv.lo] -= 1;
-    delta[iv.hi] += 1;
-  }
-  int cover = 0;
-  Coord start = 0;
-  int prevSign = 0;
-  for (const auto& [pos, d] : delta) {
-    if (prevSign != 0 && pos > start) {
-      const Point a = horizontal ? Point{start, fixed} : Point{fixed, start};
-      const Point b = horizontal ? Point{pos, fixed} : Point{fixed, pos};
-      if (prevSign > 0) {
-        out.push_back({a, b});  // bottom (+x) or left-swept equivalent
-      } else {
-        out.push_back({b, a});  // top (-x)
+/// One slab-edge endpoint on a scanline: on the line at `fixed`, coverage
+/// changes by `delta` at `pos` along the line.
+struct Contribution {
+  Coord fixed;
+  Coord pos;
+  int delta;
+};
+
+/// Sweeps every scanline of `cs` (sorted here by line, then position) and
+/// appends the net boundary edges: where the coverage count is positive a
+/// forward edge, where negative a reversed one. Contributions at one
+/// position are summed first; a position whose sum is zero still ends the
+/// edge before it, so edges split wherever any slab edge ends.
+void sweepLines(ArenaVector<Contribution>& cs, bool horizontal,
+                ArenaVector<RawEdge>& out) {
+  std::sort(cs.begin(), cs.end(),
+            [](const Contribution& a, const Contribution& b) {
+              return a.fixed < b.fixed || (a.fixed == b.fixed && a.pos < b.pos);
+            });
+  const std::size_t n = cs.size();
+  for (std::size_t i = 0; i < n;) {
+    const Coord fixed = cs[i].fixed;
+    int cover = 0;
+    Coord start = 0;
+    int prevSign = 0;
+    while (i < n && cs[i].fixed == fixed) {
+      const Coord pos = cs[i].pos;
+      int d = 0;
+      for (; i < n && cs[i].fixed == fixed && cs[i].pos == pos; ++i) {
+        d += cs[i].delta;
       }
+      if (prevSign != 0) {
+        const Point a = horizontal ? Point{start, fixed} : Point{fixed, start};
+        const Point b = horizontal ? Point{pos, fixed} : Point{fixed, pos};
+        if (prevSign > 0) {
+          out.push_back({a, b});
+        } else {
+          out.push_back({b, a});
+        }
+      }
+      cover += d;
+      start = pos;
+      prevSign = cover > 0 ? 1 : (cover < 0 ? -1 : 0);
     }
-    cover += d;
-    start = pos;
-    prevSign = cover > 0 ? 1 : (cover < 0 ? -1 : 0);
   }
 }
 
@@ -209,9 +236,30 @@ Point dirOf(const RawEdge& e) {
           e.to.y == e.from.y ? 0 : (e.to.y > e.from.y ? 1 : -1)};
 }
 
+bool collinearJoin(const BoundaryEdge& a, const BoundaryEdge& b) {
+  const bool collinear =
+      (a.horizontal() && b.horizontal() && a.from.y == b.from.y) ||
+      (!a.horizontal() && !b.horizontal() && a.from.x == b.from.x);
+  return collinear && a.to == b.from;
+}
+
+/// The ring slot `i` of `rings`, emptied, keeping its capacity.
+BoundaryRing& ringSlot(std::vector<BoundaryRing>& rings, std::size_t i) {
+  if (i == rings.size()) rings.emplace_back();
+  rings[i].clear();
+  return rings[i];
+}
+
+/// Empties the slots from `count` on and returns `count`.
+std::size_t finishRings(std::vector<BoundaryRing>& rings, std::size_t count) {
+  for (std::size_t i = count; i < rings.size(); ++i) rings[i].clear();
+  return count;
+}
+
 }  // namespace
 
-std::vector<BoundaryRing> unionBoundary(const std::vector<Rect>& rects) {
+std::size_t unionBoundaryInto(const std::vector<Rect>& rects,
+                              std::vector<BoundaryRing>& rings) {
   // A union that is one rect — a lone via enclosure, or an enclosure inside
   // its pin — is that rect's ring, in the order the sweep below emits it:
   // counter-clockwise from the lower-left corner.
@@ -219,53 +267,57 @@ std::vector<BoundaryRing> unionBoundary(const std::vector<Rect>& rects) {
   for (const Rect& r : rects) box = box.merge(r);
   if (box.xlo < box.xhi && box.ylo < box.yhi &&
       std::find(rects.begin(), rects.end(), box) != rects.end()) {
-    return {{{{box.xlo, box.ylo}, {box.xhi, box.ylo}},
-             {{box.xhi, box.ylo}, {box.xhi, box.yhi}},
-             {{box.xhi, box.yhi}, {box.xlo, box.yhi}},
-             {{box.xlo, box.yhi}, {box.xlo, box.ylo}}}};
+    BoundaryRing& ring = ringSlot(rings, 0);
+    ring.push_back({{box.xlo, box.ylo}, {box.xhi, box.ylo}});
+    ring.push_back({{box.xhi, box.ylo}, {box.xhi, box.yhi}});
+    ring.push_back({{box.xhi, box.yhi}, {box.xlo, box.yhi}});
+    ring.push_back({{box.xlo, box.yhi}, {box.xlo, box.ylo}});
+    return finishRings(rings, 1);
   }
 
   util::ArenaScope scratch(util::scratchArena());
   ArenaVector<Rect> slabs;
+  slabs.reserve(rects.size() * 2);
   unionSlabsInto(rects, slabs);
-  if (slabs.empty()) return {};
+  if (slabs.empty()) return finishRings(rings, 0);
 
+  // Horizontal edges: slab bottoms weigh +1 (direction +x, interior above),
+  // tops -1. Vertical edges: rights +1 (direction +y, interior left), lefts
+  // -1. Each slab edge contributes its two endpoints to its line.
   ArenaVector<RawEdge> edges;
-
-  using IntervalPair = std::pair<ArenaVector<Interval>, ArenaVector<Interval>>;
-  // Horizontal boundary edges: group slab bottoms (+1) and tops (-1) by y.
-  {
-    ArenaMap<Coord, IntervalPair> byY;
-    for (const Rect& s : slabs) {
-      byY[s.ylo].first.push_back(s.xSpan());
-      byY[s.yhi].second.push_back(s.xSpan());
-    }
-    for (auto& [y, pm] : byY) {
-      sweepLine(y, /*horizontal=*/true, pm.first, pm.second, edges);
-    }
+  edges.reserve(slabs.size() * 8);
+  ArenaVector<Contribution> cs;
+  cs.reserve(slabs.size() * 4);
+  for (const Rect& s : slabs) {
+    cs.push_back({s.ylo, s.xlo, 1});
+    cs.push_back({s.ylo, s.xhi, -1});
+    cs.push_back({s.yhi, s.xlo, -1});
+    cs.push_back({s.yhi, s.xhi, 1});
   }
-  // Vertical boundary edges: rights carry +1 (direction +y, interior left),
-  // lefts carry -1 (direction -y).
-  {
-    ArenaMap<Coord, IntervalPair> byX;
-    for (const Rect& s : slabs) {
-      byX[s.xhi].first.push_back(s.ySpan());
-      byX[s.xlo].second.push_back(s.ySpan());
-    }
-    for (auto& [x, pm] : byX) {
-      sweepLine(x, /*horizontal=*/false, pm.first, pm.second, edges);
-    }
+  sweepLines(cs, /*horizontal=*/true, edges);
+  const std::size_t numHorizontal = edges.size();
+  cs.clear();
+  for (const Rect& s : slabs) {
+    cs.push_back({s.xhi, s.ylo, 1});
+    cs.push_back({s.xhi, s.yhi, -1});
+    cs.push_back({s.xlo, s.ylo, -1});
+    cs.push_back({s.xlo, s.yhi, 1});
   }
+  sweepLines(cs, /*horizontal=*/false, edges);
 
   // Stitch directed edges into rings; interior is on the left of every edge.
-  ArenaHashMap<Point, ArenaVector<std::size_t>> outgoing;
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    outgoing[edges[i].from].push_back(i);
-  }
-  ArenaVector<char> used(edges.size(), 0);
-  std::vector<BoundaryRing> rings;
+  // Each run is already sorted by start point (horizontal edges by y then x,
+  // vertical ones by x then y: a line's edges are disjoint and ascending),
+  // so a point's outgoing edges are found by binary search in both runs,
+  // in id order; ties in the turn preference go to the lowest id.
+  const std::size_t n = edges.size();
+  const auto hBegin = edges.begin();
+  const auto vBegin = hBegin + static_cast<std::ptrdiff_t>(numHorizontal);
+  ArenaVector<char> used(n, 0);
   ArenaVector<BoundaryEdge> ring;
-  for (std::size_t seed = 0; seed < edges.size(); ++seed) {
+  ring.reserve(n);
+  std::size_t count = 0;
+  for (std::size_t seed = 0; seed < n; ++seed) {
     if (used[seed]) continue;
     ring.clear();
     std::size_t cur = seed;
@@ -273,54 +325,57 @@ std::vector<BoundaryRing> unionBoundary(const std::vector<Rect>& rects) {
       used[cur] = 1;
       ring.push_back({edges[cur].from, edges[cur].to});
       const Point at = edges[cur].to;
-      const auto it = outgoing.find(at);
-      if (it == outgoing.end()) break;  // should not happen for valid input
       const Point inDir = dirOf(edges[cur]);
-      std::size_t best = edges.size();
+      std::size_t best = n;
       int bestScore = 4;
-      for (const std::size_t cand : it->second) {
-        if (used[cand]) continue;
-        const int score = turnScore(inDir, dirOf(edges[cand]));
+      const auto consider = [&](std::size_t id) {
+        if (used[id]) return;
+        const int score = turnScore(inDir, dirOf(edges[id]));
         if (score < bestScore) {
           bestScore = score;
-          best = cand;
+          best = id;
         }
+      };
+      for (auto it = std::lower_bound(hBegin, vBegin, at,
+                                      [](const RawEdge& e, const Point& p) {
+                                        return e.from.y < p.y ||
+                                               (e.from.y == p.y &&
+                                                e.from.x < p.x);
+                                      });
+           it != vBegin && it->from == at; ++it) {
+        consider(static_cast<std::size_t>(it - hBegin));
       }
-      if (best == edges.size()) break;  // ring closed
+      for (auto it = std::lower_bound(vBegin, edges.end(), at,
+                                      [](const RawEdge& e, const Point& p) {
+                                        return e.from < p;
+                                      });
+           it != edges.end() && it->from == at; ++it) {
+        consider(static_cast<std::size_t>(it - hBegin));
+      }
+      if (best == n) break;  // ring closed
       cur = best;
     }
     // Merge collinear consecutive edges, including across the wrap point.
-    BoundaryRing merged;
-    merged.reserve(ring.size());
+    BoundaryRing& merged = ringSlot(rings, count);
     for (const BoundaryEdge& e : ring) {
-      if (!merged.empty()) {
-        BoundaryEdge& last = merged.back();
-        const bool collinear = (last.horizontal() && e.horizontal() &&
-                                last.from.y == e.from.y) ||
-                               (!last.horizontal() && !e.horizontal() &&
-                                last.from.x == e.from.x);
-        if (collinear && last.to == e.from) {
-          last.to = e.to;
-          continue;
-        }
+      if (!merged.empty() && collinearJoin(merged.back(), e)) {
+        merged.back().to = e.to;
+        continue;
       }
       merged.push_back(e);
     }
-    if (merged.size() >= 2) {
-      BoundaryEdge& last = merged.back();
-      BoundaryEdge& first = merged.front();
-      const bool collinear =
-          (last.horizontal() && first.horizontal() &&
-           last.from.y == first.from.y) ||
-          (!last.horizontal() && !first.horizontal() &&
-           last.from.x == first.from.x);
-      if (collinear && last.to == first.from) {
-        first.from = last.from;
-        merged.pop_back();
-      }
+    if (merged.size() >= 2 && collinearJoin(merged.back(), merged.front())) {
+      merged.front().from = merged.back().from;
+      merged.pop_back();
     }
-    if (!merged.empty()) rings.push_back(std::move(merged));
+    if (!merged.empty()) ++count;
   }
+  return finishRings(rings, count);
+}
+
+std::vector<BoundaryRing> unionBoundary(const std::vector<Rect>& rects) {
+  std::vector<BoundaryRing> rings;
+  rings.resize(unionBoundaryInto(rects, rings));
   return rings;
 }
 
@@ -329,7 +384,7 @@ std::vector<Rect> maxRects(const std::vector<Rect>& rects) {
   std::vector<Rect> out;
 
   const auto extendVertically = [](const ArenaVector<Rect>& slabs,
-                                   std::vector<Rect>& result) {
+                                   auto& result) {
     for (const Rect& s : slabs) {
       Coord lo = s.ylo;
       Coord hi = s.yhi;
@@ -354,7 +409,7 @@ std::vector<Rect> maxRects(const std::vector<Rect>& rects) {
   ArenaVector<Rect> slabs;
   unionSlabsInto(rects, slabs);
   extendVertically(slabs, out);
-  std::vector<Rect> vOut;
+  ArenaVector<Rect> vOut;
   slabs.clear();
   unionSlabsInto(transpose(rects), slabs);
   extendVertically(slabs, vOut);

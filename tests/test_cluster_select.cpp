@@ -102,6 +102,47 @@ TEST_F(ClusterFixture, AbuttingInstancesChooseCompatiblePatterns) {
       << left->loc;
 }
 
+TEST_F(ClusterFixture, PinsOfWideMastersKeepTheirOwnNets) {
+  // A 70-pin master abuts CELL: its signal pin 64 sits at the right edge,
+  // facing CELL's pin 0 at the left edge (pins 1-63 and 65-69 are supply
+  // pins without shapes). Numbering nets as instance * 64 + pin would give
+  // those two pins the same id, so the pair check would take the facing
+  // vias for one net and accept a conflicting pair of patterns.
+  buildDesign({{0, 0}, {1200, 0}});
+  db::Library wideLib;
+  db::Master& wide = wideLib.addMaster("WIDE");
+  wide.width = 1200;
+  wide.height = 1200;
+  for (int p = 0; p < 70; ++p) {
+    db::Pin& pin = wide.pins.emplace_back();
+    pin.name = "P" + std::to_string(p);
+    pin.use = db::PinUse::kPower;
+  }
+  wide.pins[0].use = db::PinUse::kSignal;
+  wide.pins[0].shapes.push_back({0, Rect{150, 300, 250, 1100}});
+  wide.pins[64].use = db::PinUse::kSignal;
+  wide.pins[64].shapes.push_back({0, Rect{1010, 300, 1110, 1100}});
+  td_.design->instances[0].master = &wide;
+  td_.design->buildInstanceIndex();
+  const OracleResult res = analyze()->snapshot();
+
+  const auto pinOrder = [&](int inst) {
+    return res.classes[res.unique.classOf[inst]].pinOrder;
+  };
+  const auto right = res.chosenAp(*td_.design, 0, pinOrder(0).back());
+  const auto left = res.chosenAp(*td_.design, 1, pinOrder(1).front());
+  ASSERT_TRUE(right.has_value());
+  ASSERT_TRUE(left.has_value());
+  drc::DrcEngine engine(*td_.tech);
+  EXPECT_TRUE(engine
+                  .checkVia(*left->ap->primaryVia(*td_.tech), left->loc, 2,
+                            engine.viaShapes(*right->ap->primaryVia(*td_.tech),
+                                             right->loc, 1))
+                  .empty())
+      << "selected boundary vias conflict: " << right->loc << " vs "
+      << left->loc;
+}
+
 TEST_F(ClusterFixture, SinglePatternModeStillSelects) {
   buildDesign({{0, 0}, {1200, 0}}, /*numPatterns=*/1);
   const std::vector<int> chosen = analyze()->chosenPattern();

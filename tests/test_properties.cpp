@@ -140,11 +140,10 @@ INSTANTIATE_TEST_SUITE_P(
 // contexts (pin bars of the via's net, other nets' shapes, obstructions,
 // cut neighbors, extra shapes) are checked, then checked again with every
 // shape translated by a random offset and every net renamed. The violations
-// must agree once translated and renamed back, and the two gathered
-// contexts must get the same memo key. Violation markers are built from
-// rect centers, which round toward zero, so markers match exactly while
-// every coordinate stays non-negative; a translation across the origin
-// must still give the same verdict and key.
+// must agree exactly once translated and renamed back, markers included,
+// for an offset that keeps every coordinate positive and for one that
+// takes the context across the origin; the two gathered contexts must get
+// the same memo key.
 TEST(ViaCheckProperty, VerdictIsInvariantUnderTranslationAndNetRenaming) {
   const std::unique_ptr<db::Tech> tech =
       benchgen::makeTech(benchgen::nodeParams(benchgen::Node::k45));
@@ -226,12 +225,7 @@ TEST(ViaCheckProperty, VerdictIsInvariantUnderTranslationAndNetRenaming) {
         v.netB = renameBack(v.netB);
       }
       drc::sortViolations(vb);
-      if (k == 0) {
-        EXPECT_EQ(va, vb) << "seed " << seed;
-      } else {
-        EXPECT_EQ(va.empty(), vb.empty()) << "seed " << seed;
-        EXPECT_EQ(va.size(), vb.size()) << "seed " << seed;
-      }
+      EXPECT_EQ(va, vb) << "seed " << seed << " offset " << k;
 
       drc::ViaContext ctxB;
       b.gatherVia(via, at + d, rename(viaNet), extraB, ctxB);
