@@ -122,7 +122,7 @@ std::vector<Coord> AccessPointGenerator::nonPrefCoords(const Rect& shape,
 }
 
 bool AccessPointGenerator::validate(AccessPoint& ap, int pinIdx,
-                                    drc::ViaContext& scratch,
+                                    drc::ViaScratch& scratch,
                                     drc::DrcWork& work) const {
   const drc::DrcEngine& engine = ctx_->engine();
   const db::Design& design = ctx_->design();
@@ -153,7 +153,7 @@ std::vector<AccessPoint> AccessPointGenerator::generate(int pinIdx) const {
   std::unordered_set<Point> seen;
   // One via-check scratch for the pin's candidates; the work is published
   // once per pin.
-  drc::ViaContext scratch;
+  drc::ViaScratch scratch;
   drc::DrcWork work;
 
   // Candidate shapes: maximal rectangles per layer carrying the pin.

@@ -14,7 +14,7 @@ namespace pao::core {
 DirtyApStats countDirtyAps(const db::Design& design,
                            const OracleResult& result) {
   DirtyApStats stats;
-  drc::ViaContext scratch;
+  drc::ViaScratch scratch;
   drc::DrcWork work;
   for (std::size_t c = 0; c < result.unique.classes.size(); ++c) {
     const ClassAccess& ca = result.classes[c];
@@ -192,7 +192,7 @@ FailedPinStats countFailedPins(const db::Design& design,
 
   // Every via verdict goes through one scratch context and the clean-verdict
   // memo; violations are always judged afresh (see drc/verdict_memo.hpp).
-  drc::ViaContext scratch;
+  drc::ViaScratch scratch;
   drc::DrcWork work;
   drc::ViaVerdictMemo memo;
   std::uint64_t memoHits = 0;
@@ -200,14 +200,14 @@ FailedPinStats countFailedPins(const db::Design& design,
   std::vector<drc::Violation> violations;
   const auto judge = [&](const db::ViaDef& via, geom::Point loc, int net,
                          std::span<const drc::Shape> extra) {
-    engine.gatherVia(via, loc, net, extra, scratch);
+    engine.gatherVia(via, loc, net, extra, scratch.ctx);
     violations.clear();
-    if (memo.knownClean(scratch)) {
+    if (memo.knownClean(scratch.ctx)) {
       ++memoHits;
       return true;
     }
     ++memoMisses;
-    engine.judgeVia(scratch, violations, work);
+    engine.judgeVia(scratch.ctx, scratch.rings, violations, work);
     if (violations.empty()) memo.recordClean();
     return violations.empty();
   };

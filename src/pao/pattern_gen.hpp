@@ -75,7 +75,7 @@ class PatternGenerator {
   std::size_t numPairChecks_ = 0;
   /// Via-check scratch of the class's DP; the work is published at the end
   /// of run().
-  drc::ViaContext scratch_;
+  drc::ViaScratch scratch_;
   drc::DrcWork work_;
 };
 
